@@ -117,7 +117,12 @@ def msg_overhead_curve(sizes: tuple[int, ...] = DEFAULT_SIZES,
     One warmed-up world per variant; the secure path is measured in its
     steady state (advertisements validated and cached), matching a running
     chat session — the scenario Figure 2 describes.
+
+    Figure 2 plots the paper's stateless secureMsgPeer (a signature and a
+    key wrap on every message), so the resumption and seal-many fast paths
+    are switched off whatever *policy* says; E-MSGFAST measures those.
     """
+    policy = policy.with_(enable_resumption=False, enable_seal_many=False)
     net, broker, clients = fixtures.build_plain_world(
         n_clients=2, link=link, seed=b"e2-plain")
     fixtures.join_plain(clients)

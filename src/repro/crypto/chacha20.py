@@ -1,30 +1,51 @@
-"""ChaCha20 stream cipher (RFC 8439) with vectorized fast paths.
+"""ChaCha20 stream cipher (RFC 8439) with batched fast paths.
 
 The scalar implementation follows the RFC block function literally and
-is the reference.  Two numpy formulations exist on top of it:
+is the reference.  Three batched formulations exist on top of it:
 
+* ``_keystream_lanes`` — the bigint-lane kernel, used for every batch
+  of at most :data:`LANES_MAX_BLOCKS` blocks.  Each of the 16 state
+  words is **one Python int** holding that word for all ``n`` blocks,
+  block ``i`` in the 64-bit lane at bits ``64i .. 64i+63``; the word's
+  32 bits sit at the bottom of the lane and bits 32..63 are guard bits.
+  Constants, key and nonce words are the word times the repunit
+  ``REP = Σ 2^(64i)``; the counter word is ``(counter·REP + IDX) & M``
+  with ``IDX = Σ i·2^(64i)`` and ``M = 0xFFFFFFFF·REP``, so each lane
+  wraps at 2^32 on its own.  A lane-wise add is ``(a + b) & M`` (the sum
+  of two 32-bit lanes fits in 33 bits, so no carry crosses a lane) and
+  xor is plain ``^``.  A rotate is ``((x << k) | (x >> (32 - k))) & M``:
+  the left shift pushes the word's top ``k`` bits into its own guard
+  bits, the right shift drops its low ``32 - k`` bits into the guard
+  bits of the lane below, and the mask clears both spills.  So the
+  block function's own rounds (``_rounds``), given ``M`` in place of
+  the 32-bit mask, run every block at once: each quarter-round step is
+  one C-level bigint operation, 2240 per keystream whatever ``n`` is.
+  The 16 ints go back to block-ordered bytes with one ``to_bytes`` each
+  and a single numpy reshape.
+* ``_keystream_rows`` — the row formulation: state held as a
+  ``(4, 4, n_blocks)`` uint32 array so the four column quarter-rounds of
+  each round collapse into **one** vectorized quarter-round over
+  ``(4, n)`` rows (diagonal rounds roll rows into column position and
+  back), with explicit ``out=`` scratch to avoid temporaries.  Its cost
+  is a fixed ~500 numpy calls plus a small per-block term, so it wins
+  once the lane ints grow long: measured on a 2-vCPU 2.0 GHz Xeon
+  (Python 3.11), the lane kernel takes ~0.2 ms for 9 blocks, ~0.3 ms
+  for 65 and ~5 ms for 1025, against a near-flat ~1.2-1.7 ms for rows;
+  the crossover lies at about 240 blocks.
 * ``_keystream_numpy`` — the original lane-per-block layout: a
   ``(16, n_blocks)`` uint32 array, one quarter-round call per QR of the
-  round schedule (8 per double round).  Kept as the legacy path
-  (``perf.FLAGS.chacha_vector`` off) and as a differential reference.
-* ``_keystream_rows`` — the row formulation: state held as a
-  ``(4, 4, n_blocks)`` array so the four column quarter-rounds of each
-  round collapse into **one** vectorized quarter-round over ``(4, n)``
-  rows (diagonal rounds roll rows into column position and back).
-  Four times fewer Python-level numpy calls per round, with explicit
-  ``out=`` scratch to avoid temporaries — measured ~2x the legacy numpy
-  path at any size.
+  round schedule.  Kept, together with the per-block scalar loop, as
+  the legacy path (``perf.FLAGS.chacha_vector`` off).
 
-Even so, numpy's fixed per-call overhead makes the scalar path cheaper
-below :data:`SCALAR_MAX_BLOCKS` blocks (the E-HOTPATH stage bench
-measures the crossover); ``keystream``/``chacha20_xor`` dispatch on
-that.  The test suite checks all paths against the RFC 8439 vectors and
-against each other.
+``keystream``/``chacha20_xor`` dispatch on the block count.  The test
+suite checks every path against the RFC 8439 vectors, against
+``chacha20_block`` and against each other.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,52 +54,87 @@ from repro import perf
 _MASK32 = 0xFFFFFFFF
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)  # "expand 32-byte k"
 
-#: Messages of at most this many 64-byte blocks take the scalar path —
-#: numpy's fixed per-call overhead dominates below the crossover (the
-#: E-HOTPATH ``crypto.keystream`` stage timings are the evidence).
-SCALAR_MAX_BLOCKS = 8
+#: Batches of at most this many 64-byte blocks take the bigint-lane
+#: kernel; larger ones the numpy row kernel (measured crossover ~240).
+LANES_MAX_BLOCKS = 224
 
 #: The legacy dispatch threshold (blocks at which the old numpy path
 #: engaged), preserved for ``perf.FLAGS.chacha_vector = False``.
 _LEGACY_NUMPY_MIN_BLOCKS = 4
 
 
-def _quarter(state: list[int], a: int, b: int, c: int, d: int) -> None:
-    x = state
-    x[a] = (x[a] + x[b]) & _MASK32
+def _quarter(x: list[int], a: int, b: int, c: int, d: int, m: int) -> None:
+    """One quarter round in place; ``m`` masks every word (or lane) to 32 bits."""
+    x[a] = (x[a] + x[b]) & m
     x[d] ^= x[a]
-    x[d] = ((x[d] << 16) | (x[d] >> 16)) & _MASK32
-    x[c] = (x[c] + x[d]) & _MASK32
+    x[d] = ((x[d] << 16) | (x[d] >> 16)) & m
+    x[c] = (x[c] + x[d]) & m
     x[b] ^= x[c]
-    x[b] = ((x[b] << 12) | (x[b] >> 20)) & _MASK32
-    x[a] = (x[a] + x[b]) & _MASK32
+    x[b] = ((x[b] << 12) | (x[b] >> 20)) & m
+    x[a] = (x[a] + x[b]) & m
     x[d] ^= x[a]
-    x[d] = ((x[d] << 8) | (x[d] >> 24)) & _MASK32
-    x[c] = (x[c] + x[d]) & _MASK32
+    x[d] = ((x[d] << 8) | (x[d] >> 24)) & m
+    x[c] = (x[c] + x[d]) & m
     x[b] ^= x[c]
-    x[b] = ((x[b] << 7) | (x[b] >> 25)) & _MASK32
+    x[b] = ((x[b] << 7) | (x[b] >> 25)) & m
 
 
-def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
-    """The RFC 8439 block function: 64 bytes of keystream."""
+def _rounds(x: list[int], m: int) -> None:
+    """The 20 ChaCha20 rounds (10 column + diagonal pairs), in place."""
+    for _ in range(10):
+        _quarter(x, 0, 4, 8, 12, m)
+        _quarter(x, 1, 5, 9, 13, m)
+        _quarter(x, 2, 6, 10, 14, m)
+        _quarter(x, 3, 7, 11, 15, m)
+        _quarter(x, 0, 5, 10, 15, m)
+        _quarter(x, 1, 6, 11, 12, m)
+        _quarter(x, 2, 7, 8, 13, m)
+        _quarter(x, 3, 4, 9, 14, m)
+
+
+def _check_sizes(key: bytes, nonce: bytes) -> None:
     if len(key) != 32:
         raise ValueError("ChaCha20 key must be 32 bytes")
     if len(nonce) != 12:
         raise ValueError("ChaCha20 nonce must be 12 bytes")
+
+
+def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
+    """The RFC 8439 block function: 64 bytes of keystream."""
+    _check_sizes(key, nonce)
     init = list(_CONSTANTS) + list(struct.unpack("<8I", key)) \
         + [counter & _MASK32] + list(struct.unpack("<3I", nonce))
     state = list(init)
-    for _ in range(10):
-        _quarter(state, 0, 4, 8, 12)
-        _quarter(state, 1, 5, 9, 13)
-        _quarter(state, 2, 6, 10, 14)
-        _quarter(state, 3, 7, 11, 15)
-        _quarter(state, 0, 5, 10, 15)
-        _quarter(state, 1, 6, 11, 12)
-        _quarter(state, 2, 7, 8, 13)
-        _quarter(state, 3, 4, 9, 14)
+    _rounds(state, _MASK32)
     out = [(s + i) & _MASK32 for s, i in zip(state, init)]
     return struct.pack("<16I", *out)
+
+
+@lru_cache(maxsize=LANES_MAX_BLOCKS)
+def _lane_constants(n_blocks: int) -> tuple[int, int, int]:
+    """``(REP, IDX, M)`` for ``n_blocks`` 64-bit lanes (see module doc)."""
+    rep = int.from_bytes(b"\x01\x00\x00\x00\x00\x00\x00\x00" * n_blocks,
+                         "little")
+    idx = int.from_bytes(np.arange(n_blocks, dtype="<u8").tobytes(), "little")
+    return rep, idx, _MASK32 * rep
+
+
+def _keystream_lanes(key: bytes, counter: int, nonce: bytes,
+                     n_blocks: int) -> bytes:
+    """Bigint-lane keystream: one Python int per state word."""
+    rep, idx, m = _lane_constants(n_blocks)
+    words = (_CONSTANTS + struct.unpack("<8I", key) + (0,)
+             + struct.unpack("<3I", nonce))
+    init = [w * rep for w in words]
+    init[12] = ((counter & _MASK32) * rep + idx) & m
+    state = list(init)
+    _rounds(state, m)
+    width = 8 * n_blocks
+    out = b"".join(((x + i) & m).to_bytes(width, "little")
+                   for x, i in zip(state, init))
+    # (word, block, lo/guard) -> block-ordered little-endian words
+    lanes = np.frombuffer(out, dtype="<u4").reshape(16, n_blocks, 2)
+    return lanes[:, :, 0].T.tobytes()
 
 
 def _np_quarter(x: np.ndarray, a: int, b: int, c: int, d: int) -> None:
@@ -184,19 +240,25 @@ def keystream(key: bytes, counter: int, nonce: bytes, n_blocks: int,
               use_numpy: bool | None = None) -> bytes:
     """``n_blocks`` consecutive 64-byte keystream blocks from ``counter``.
 
-    Dispatches scalar vs vectorized on the measured crossover; the AEAD
-    layer uses this to fuse the Poly1305 one-time-key block and the
-    message keystream into a single call.
+    ``use_numpy=None`` picks the kernel by block count: the bigint-lane
+    kernel up to :data:`LANES_MAX_BLOCKS`, the numpy row kernel above.
+    The AEAD layer uses this to fuse the Poly1305 one-time-key block and
+    the message keystream into a single call.  With
+    ``perf.FLAGS.chacha_vector`` off, ``use_numpy`` selects between the
+    legacy per-block scalar loop and the legacy numpy layout.
     """
+    _check_sizes(key, nonce)
     if use_numpy is None:
-        use_numpy = n_blocks > SCALAR_MAX_BLOCKS
+        use_numpy = n_blocks > LANES_MAX_BLOCKS
+    if not perf.FLAGS.chacha_vector:
+        if use_numpy:
+            return _keystream_numpy(key, counter, nonce, n_blocks)
+        return b"".join(
+            chacha20_block(key, counter + i, nonce) for i in range(n_blocks)
+        )
     if use_numpy:
-        if perf.FLAGS.chacha_vector:
-            return _keystream_rows(key, counter, nonce, n_blocks)
-        return _keystream_numpy(key, counter, nonce, n_blocks)
-    return b"".join(
-        chacha20_block(key, counter + i, nonce) for i in range(n_blocks)
-    )
+        return _keystream_rows(key, counter, nonce, n_blocks)
+    return _keystream_lanes(key, counter, nonce, n_blocks)
 
 
 def chacha20_xor(key: bytes, nonce: bytes, data: bytes, counter: int = 1,
@@ -204,7 +266,7 @@ def chacha20_xor(key: bytes, nonce: bytes, data: bytes, counter: int = 1,
     """Encrypt/decrypt ``data`` (XOR with keystream starting at ``counter``).
 
     ``use_numpy=None`` picks the path by block count: the optimized
-    dispatch crosses over at :data:`SCALAR_MAX_BLOCKS`; the legacy
+    dispatch crosses over at :data:`LANES_MAX_BLOCKS`; the legacy
     configuration (``perf.FLAGS.chacha_vector`` off) keeps the original
     4-block threshold and the lane-per-block implementation.
     """
@@ -213,7 +275,7 @@ def chacha20_xor(key: bytes, nonce: bytes, data: bytes, counter: int = 1,
     n_blocks = (len(data) + 63) // 64
     if use_numpy is None:
         if perf.FLAGS.chacha_vector:
-            use_numpy = n_blocks > SCALAR_MAX_BLOCKS
+            use_numpy = n_blocks > LANES_MAX_BLOCKS
         else:
             use_numpy = n_blocks >= _LEGACY_NUMPY_MIN_BLOCKS
     stream = keystream(key, counter, nonce, n_blocks, use_numpy=use_numpy)

@@ -56,12 +56,21 @@ def encrypt_v15(pub: PublicKey, message: bytes, drbg: HmacDrbg | None = None) ->
     return i2b_fixed(pub.encrypt_int(b2i(em)), k)
 
 
+def _rsadp(priv: PrivateKey, ciphertext: bytes, k: int) -> bytes:
+    """RSADP on a k-byte ciphertext; a representative >= n (for instance
+    a ciphertext made for another key) is a decryption error (RFC 8017)."""
+    try:
+        return i2b_fixed(priv.decrypt_int(b2i(ciphertext)), k)
+    except ValueError:
+        raise DecryptionError("ciphertext representative out of range") from None
+
+
 def decrypt_v15(priv: PrivateKey, ciphertext: bytes) -> bytes:
     """RSAES-PKCS1-v1_5 decryption."""
     k = priv.byte_length
     if len(ciphertext) != k:
         raise DecryptionError("ciphertext length does not match the modulus")
-    em = i2b_fixed(priv.decrypt_int(b2i(ciphertext)), k)
+    em = _rsadp(priv, ciphertext, k)
     if em[0] != 0 or em[1] != 2:
         raise DecryptionError("invalid PKCS#1 v1.5 encryption block")
     try:
@@ -100,7 +109,7 @@ def decrypt_oaep(priv: PrivateKey, ciphertext: bytes, label: bytes = b"") -> byt
     k = priv.byte_length
     if len(ciphertext) != k or k < 2 * _HLEN + 2:
         raise DecryptionError("ciphertext length does not match the modulus")
-    em = i2b_fixed(priv.decrypt_int(b2i(ciphertext)), k)
+    em = _rsadp(priv, ciphertext, k)
     y, masked_seed, masked_db = em[0], em[1:1 + _HLEN], em[1 + _HLEN:]
     seed = xor_bytes(masked_seed, mgf1(masked_db, _HLEN))
     db = xor_bytes(masked_db, mgf1(seed, k - _HLEN - 1))

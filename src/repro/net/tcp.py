@@ -94,6 +94,10 @@ class TcpTransport:
         self._directory: dict[str, tuple[str, int]] = {}
         self._endpoints: dict[str, _EndpointState] = {}
         self._conns: dict[tuple[str, str], _Conn] = {}
+        #: one in-flight connect per link, shared by concurrent first sends
+        self._connecting: dict[tuple[str, str], asyncio.Task] = {}
+        #: strong references: the event loop holds tasks only weakly
+        self._reader_tasks: set[asyncio.Task] = set()
         self._pending: dict[int, tuple[concurrent.futures.Future, str]] = {}
         self._req_ids = itertools.count(1)
         self._closed = False
@@ -333,11 +337,34 @@ class TcpTransport:
         conn = self._conns.get(key)
         if conn is not None and not conn.writer.is_closing():
             return conn
+        # Concurrent first sends on one link await the same connect, so
+        # the link never opens a second connection that replaces the
+        # first in ``_conns``.  ``shield``: one caller's timeout must not
+        # cancel the connect the others are waiting on.
+        connecting = self._connecting.get(key)
+        if connecting is None:
+            connecting = asyncio.ensure_future(self._open_conn(key))
+            self._connecting[key] = connecting
+            connecting.add_done_callback(
+                lambda task: self._connect_done(key, task))
+        return await asyncio.shield(connecting)
+
+    def _connect_done(self, key: tuple[str, str], task: asyncio.Task) -> None:
+        if self._connecting.get(key) is task:
+            del self._connecting[key]
+        if not task.cancelled():
+            task.exception()  # retrieved: every waiter may have given up
+
+    async def _open_conn(self, key: tuple[str, str]) -> _Conn:
+        src, dst = key
         host, port = self.location(dst)
         reader, writer = await asyncio.wait_for(
             asyncio.open_connection(host, port), self.connect_timeout)
         conn = _Conn(src, dst, reader, writer)
-        conn.reader_task = asyncio.ensure_future(self._conn_reader(conn))
+        task = asyncio.ensure_future(self._conn_reader(conn))
+        conn.reader_task = task
+        self._reader_tasks.add(task)
+        task.add_done_callback(self._reader_tasks.discard)
         self._conns[key] = conn
         return conn
 
@@ -368,7 +395,10 @@ class TcpTransport:
                 framing.FramingError, asyncio.CancelledError):
             pass
         finally:
-            self._conns.pop((conn.src, conn.dst), None)
+            # The link may already map to a newer connection.
+            key = (conn.src, conn.dst)
+            if self._conns.get(key) is conn:
+                del self._conns[key]
             try:
                 conn.writer.close()
             except RuntimeError:
@@ -384,11 +414,12 @@ class TcpTransport:
                            req_id: int, payload: bytes) -> None:
         conn = await self._get_conn(src, dst)
         out = framing.encode_frame(kind, req_id, src, payload)
+        if kind == framing.KIND_REQUEST:
+            # Before the write: the response may be read before it returns.
+            conn.pending.add(req_id)
         async with conn.write_lock:
             conn.writer.write(out)
             await conn.writer.drain()
-        if kind == framing.KIND_REQUEST:
-            conn.pending.add(req_id)
 
     # -- adversary surface ---------------------------------------------------
     # The tap/interceptor hooks of repro.net.adversary.  On sockets there

@@ -8,12 +8,16 @@ can assert against the catalogue.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from typing import Any, Callable
 
 from repro.errors import OverlayError
 
 EventListener = Callable[..., None]
+
+#: how many emitted events a bus remembers (oldest dropped first), so a
+#: long-lived peer's history stays bounded
+HISTORY_MAX = 1024
 
 #: the events the client module can emit (the paper counts 84 across all
 #: function sets; this catalogue covers the sets we implement)
@@ -50,7 +54,8 @@ class EventBus:
     def __init__(self, strict: bool = True) -> None:
         self._listeners: dict[str, list[EventListener]] = defaultdict(list)
         self._strict = strict
-        self.history: list[tuple[str, dict[str, Any]]] = []
+        self.history: deque[tuple[str, dict[str, Any]]] = deque(
+            maxlen=HISTORY_MAX)
 
     def _check(self, event: str) -> None:
         if self._strict and event not in EVENT_CATALOGUE:

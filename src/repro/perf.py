@@ -11,9 +11,11 @@ process* and tests can diff the two implementations against each other.
 
 The switches:
 
-* ``chacha_vector`` — the reformed ChaCha20 keystream: one combined
+* ``chacha_vector`` — the reformed ChaCha20-Poly1305: one combined
   keystream call per AEAD operation (Poly1305 OTK block fused into the
-  batch) and the row-vectorized double-round (`repro.crypto.chacha20`).
+  batch), the bigint-lane and row-vectorized keystream kernels
+  (`repro.crypto.chacha20`) and the interleaved-lane Poly1305
+  (`repro.crypto.poly1305`).
 * ``pipe_validation_memo`` — identity-keyed memoization of validated
   signed pipe advertisements in the secure client (revocation and
   validity windows still checked on every hit).

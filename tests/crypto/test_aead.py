@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto import aead
+from repro.crypto.chacha20 import LANES_MAX_BLOCKS
 from repro.errors import InvalidTagError
 
 KEY = bytes(range(0x80, 0xA0))
@@ -38,6 +39,23 @@ class TestOracle:
         ours = aead.seal(key, nonce, plaintext, aad)
         assert ours == theirs
         assert aead.open_(key, nonce, theirs, aad) == plaintext
+
+    # One keystream call covers the one-time-key block plus the message,
+    # so LANES_MAX_BLOCKS - 1 message blocks is the last size on the
+    # bigint-lane kernel and one byte more the first on the row kernel.
+    @pytest.mark.parametrize("size", [
+        0, 1, 256, 64 * (LANES_MAX_BLOCKS - 1),
+        64 * (LANES_MAX_BLOCKS - 1) + 1, 65536 + 3])
+    def test_against_cryptography_across_the_crossover(self, size):
+        key, nonce = os.urandom(32), os.urandom(12)
+        plaintext, aad = os.urandom(size), os.urandom(13)
+        theirs = ChaCha20Poly1305(key).encrypt(nonce, plaintext, aad)
+        assert aead.seal(key, nonce, plaintext, aad) == theirs
+        assert aead.open_(key, nonce, theirs, aad) == plaintext
+        tampered = bytearray(theirs)
+        tampered[len(tampered) // 2] ^= 0x10
+        with pytest.raises(InvalidTagError):
+            aead.open_(key, nonce, bytes(tampered), aad)
 
 
 class TestTamperRejection:

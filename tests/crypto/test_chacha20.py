@@ -1,4 +1,4 @@
-"""ChaCha20: RFC 8439 vectors, scalar/numpy equivalence, oracle check."""
+"""ChaCha20: RFC 8439 vectors, lane/row/block equivalence, oracle check."""
 
 import os
 
@@ -7,7 +7,9 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.chacha20 import chacha20_block, chacha20_xor
+from repro import perf
+from repro.crypto.chacha20 import (
+    LANES_MAX_BLOCKS, chacha20_block, chacha20_xor, keystream)
 
 KEY = bytes(range(32))
 NONCE = bytes.fromhex("000000090000004a00000000")
@@ -37,20 +39,49 @@ class TestBlockFunction:
     def test_bad_key_length(self):
         with pytest.raises(ValueError):
             chacha20_block(b"short", 0, NONCE)
+        with pytest.raises(ValueError):
+            keystream(b"short", 0, NONCE, 1)
 
     def test_bad_nonce_length(self):
         with pytest.raises(ValueError):
             chacha20_block(KEY, 0, b"short")
+        with pytest.raises(ValueError):
+            keystream(KEY, 0, b"short", 1)
+
+
+def _blocks(counter: int, n_blocks: int, nonce: bytes = NONCE) -> bytes:
+    """The RFC block function, one block at a time: the reference."""
+    return b"".join(chacha20_block(KEY, counter + i, nonce)
+                    for i in range(n_blocks))
 
 
 class TestScalarNumpyEquivalence:
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 256, 1000, 4096])
+    """``use_numpy=False`` is the bigint-lane kernel, ``True`` the rows."""
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 256, 1000, 4096,
+                                   64 * LANES_MAX_BLOCKS,
+                                   64 * LANES_MAX_BLOCKS + 1])
     def test_paths_agree(self, n):
         data = os.urandom(n)
         nonce = os.urandom(12)
         scalar = chacha20_xor(KEY, nonce, data, use_numpy=False)
         vector = chacha20_xor(KEY, nonce, data, use_numpy=True)
         assert scalar == vector
+        reference = _blocks(1, (n + 63) // 64, nonce)
+        assert scalar == bytes(a ^ b for a, b in zip(data, reference))
+        with perf.flags(chacha_vector=False):
+            assert chacha20_xor(KEY, nonce, data) == scalar
+
+    @pytest.mark.parametrize("counter", [0, 7, 2**32 - 3])
+    def test_every_batch_size_matches_block_function(self, counter):
+        # 2**32 - 3: the counter wraps inside one batch from n = 4 on
+        # the dispatch runs the lanes up to LANES_MAX_BLOCKS, the rows after
+        reference = _blocks(counter, LANES_MAX_BLOCKS + 1)
+        for n in range(1, LANES_MAX_BLOCKS + 2):
+            assert keystream(KEY, counter, NONCE, n) == reference[:64 * n], n
+        # and the lanes forced one block past their limit
+        assert keystream(KEY, counter, NONCE, LANES_MAX_BLOCKS + 1,
+                         use_numpy=False) == reference
 
     @settings(max_examples=20, deadline=None)
     @given(st.binary(min_size=1, max_size=2000), st.integers(min_value=0, max_value=2**31))
@@ -60,15 +91,23 @@ class TestScalarNumpyEquivalence:
         assert scalar == vector
 
 
+def _check_against_cryptography(size: int) -> None:
+    key = os.urandom(32)
+    nonce = os.urandom(12)
+    data = os.urandom(size)
+    # cryptography's ChaCha20 takes a 16-byte nonce: counter || nonce
+    full = (1).to_bytes(4, "little") + nonce
+    enc = Cipher(algorithms.ChaCha20(key, full), mode=None).encryptor()
+    assert chacha20_xor(key, nonce, data, counter=1) == enc.update(data)
+
+
 class TestOracle:
     def test_against_cryptography(self):
-        key = os.urandom(32)
-        nonce = os.urandom(12)
-        data = os.urandom(555)
-        # cryptography's ChaCha20 takes a 16-byte nonce: counter || nonce
-        full = (1).to_bytes(4, "little") + nonce
-        enc = Cipher(algorithms.ChaCha20(key, full), mode=None).encryptor()
-        assert chacha20_xor(key, nonce, data, counter=1) == enc.update(data)
+        _check_against_cryptography(555)
+
+    def test_against_cryptography_past_lane_limit(self):
+        # long enough that the numpy row kernel, not the lanes, runs
+        _check_against_cryptography(64 * LANES_MAX_BLOCKS + 555)
 
 
 class TestProperties:

@@ -64,6 +64,11 @@ class TestEncryptV15:
         with pytest.raises(DecryptionError):
             pkcs1.decrypt_v15(kp512_b.private, ct)
 
+    def test_out_of_range_ciphertext_fails(self, kp512):
+        # >= n: what a ciphertext for a larger modulus often decodes to
+        with pytest.raises(DecryptionError):
+            pkcs1.decrypt_v15(kp512.private, b"\xff" * kp512.private.byte_length)
+
 
 class TestEncryptOaep:
     @settings(max_examples=10, deadline=None)

@@ -1,9 +1,13 @@
-"""Poly1305 one-time MAC: RFC 8439 vectors and edge cases."""
+"""Poly1305 one-time MAC: RFC 8439 vectors, oracle check, edge cases."""
+
+import os
 
 import pytest
+from cryptography.hazmat.primitives.poly1305 import Poly1305
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import perf
 from repro.crypto.poly1305 import poly1305_mac
 
 
@@ -25,6 +29,23 @@ class TestVectors:
         assert len(tag) == 16
         # with no blocks the accumulator stays 0; tag == s
         assert tag == key[16:]
+
+
+class TestOracle:
+    @pytest.mark.parametrize("length", [*range(301), 4096, 65536 + 3])
+    def test_against_cryptography(self, length):
+        key, msg = os.urandom(32), os.urandom(length)
+        tag = Poly1305.generate_tag(key, msg)
+        assert poly1305_mac(key, msg) == tag
+        with perf.flags(chacha_vector=False):
+            assert poly1305_mac(key, msg) == tag
+
+    @pytest.mark.parametrize("length", [15, 16, 17, 4096, 65536 + 3])
+    def test_all_ones_key_and_message(self, length):
+        # the largest clamped r and the largest chunks: the lane bound's
+        # worst case
+        key, msg = b"\xff" * 32, b"\xff" * length
+        assert poly1305_mac(key, msg) == Poly1305.generate_tag(key, msg)
 
 
 class TestProperties:

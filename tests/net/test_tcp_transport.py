@@ -8,6 +8,8 @@ the drain-on-unregister guarantees ``Endpoint.close()`` relies on.
 
 from __future__ import annotations
 
+import gc
+import logging
 import threading
 import time
 
@@ -131,6 +133,33 @@ class TestRequests:
         release.set()
         slow.join(5.0)
         assert results["slow"] == b"slow"
+
+    def test_concurrent_first_requests_share_one_connection(self, caplog):
+        """Eight first requests racing on a fresh link open one socket."""
+        tcp = TcpTransport(request_timeout=10.0, connect_timeout=5.0)
+        connected: list[str] = []
+        tcp.register("svc", lambda frame: frame.payload,
+                     on_connect=connected.append)
+        barrier = threading.Barrier(8)
+        results: list[bytes] = []
+
+        def call(i):
+            barrier.wait(5.0)
+            results.append(tcp.request("peer:a", "svc", b"%d" % i))
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            threads = [threading.Thread(target=call, args=(i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10.0)
+            assert sorted(results) == sorted(b"%d" % i for i in range(8))
+            assert connected == ["peer:a"]
+            tcp.close()
+            gc.collect()
+        assert not [r for r in caplog.records
+                    if "Task was destroyed" in r.getMessage()]
 
     def test_nested_request_from_inside_a_handler(self, tcp):
         """The federation-handshake shape: the responder calls back into

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import OverlayError
-from repro.overlay.events import EVENT_CATALOGUE, EventBus
+from repro.overlay.events import EVENT_CATALOGUE, HISTORY_MAX, EventBus
 from repro.overlay.primitives import CATALOGUE, catalogue_by_category, secure_variants
 
 
@@ -42,7 +42,16 @@ class TestEventBus:
         bus.emit("logged_in", username="u", groups=[])
         assert bus.events_named("connected") == [{"broker": "b"}]
         bus.clear_history()
-        assert bus.history == []
+        assert list(bus.history) == []
+
+    def test_history_is_bounded_newest_last(self):
+        bus = EventBus()
+        for i in range(HISTORY_MAX + 1):
+            bus.emit("message_received", seq=i)
+        assert len(bus.history) == HISTORY_MAX
+        assert bus.history[0] == ("message_received", {"seq": 1})
+        assert bus.history[-1] == ("message_received", {"seq": HISTORY_MAX})
+        assert len(bus.events_named("message_received")) == HISTORY_MAX
 
     def test_multiple_listeners_all_called(self):
         bus = EventBus()
