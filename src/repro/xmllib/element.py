@@ -14,16 +14,18 @@ rejected at serialization time.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
 
 from repro.errors import XMLError
 
-_NAME_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
-_NAME_CHARS = _NAME_START | set("0123456789.-")
+# The ASCII subset of XML's Name production; the parser's tokens share it.
+NAME_PATTERN = r"[A-Za-z_:][-A-Za-z0-9_:.]*"
+_NAME = re.compile(NAME_PATTERN)
 
 
 def _check_name(name: str) -> str:
-    if not name or name[0] not in _NAME_START or any(c not in _NAME_CHARS for c in name):
+    if _NAME.fullmatch(name) is None:
         raise XMLError(f"invalid XML name: {name!r}")
     return name
 

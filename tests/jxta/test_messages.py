@@ -104,6 +104,13 @@ class TestMalformedWire:
             Message.from_wire(
                 b'<Message type="t"><Elem name="x" enc="rot13">v</Elem></Message>')
 
+    def test_lone_surrogate_reference(self):
+        # accepted once, it made canonicalize raise UnicodeEncodeError
+        # later, inside signature verification
+        with pytest.raises(JxtaError):
+            Message.from_wire(
+                b'<Message type="t"><Elem name="x">&#xD800;</Elem></Message>')
+
     def test_bad_json(self):
         m = Message("t").add_text("j", "{not json")
         with pytest.raises(JxtaError):

@@ -21,6 +21,7 @@ is a wire-level optimization the protocol cannot observe.
 
 from __future__ import annotations
 
+import contextlib
 import time
 
 import pytest
@@ -29,6 +30,8 @@ from repro import obs
 from repro.core import Administrator, SecureBroker, SecureClientPeer
 from repro.core.keystore import Keystore
 from repro.crypto.drbg import HmacDrbg
+from repro.errors import JxtaError, OverlayError
+from repro.jxta.endpoint import Endpoint
 from repro.jxta.messages import Message
 from repro.net.linkq import LinkPolicy
 from repro.net.tcp import TcpTransport
@@ -92,6 +95,17 @@ def _run_secure_flow(net, batched: bool = False) -> dict:
         bob.events.subscribe("secure_message_received",
                              lambda **kw: texts.append(kw["text"]))
 
+        # The broker pushes bob's pipe advertisement to alice without
+        # waiting; over sockets it can still be in flight here, and alice
+        # would then query the broker for it: one extra query_req.
+        def alice_has_bobs_pipe() -> bool:
+            try:
+                alice.control.cached_pipe_element(str(bob.peer_id), "students")
+            except (OverlayError, JxtaError):
+                return False
+            return True
+
+        assert _wait_for(alice_has_bobs_pipe)
         assert alice.secure_msg_peer(str(bob.peer_id), "students",
                                      "parity one")
         assert _wait_for(lambda: len(texts) == 1)
@@ -175,3 +189,32 @@ class TestBackendParity:
     def test_identical_sid_issuance(self, sim_trace, tcp_trace):
         # one fresh sid per secureConnection, none for the resumed send
         assert sim_trace["sids_issued"] == tcp_trace["sids_issued"] == 2
+
+
+class TestHostileDocuments:
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    def test_deeply_nested_frame_is_undecodable(self, backend):
+        """A frame nested far past the parser's depth limit is dropped as
+        undecodable; it must not escape as a RecursionError into the
+        transport's handler."""
+        saved = obs.get_registry()
+        registry = obs.Registry(enabled=True)
+        obs.set_registry(registry)
+        try:
+            with contextlib.ExitStack() as stack:
+                if backend == "sim":
+                    net = SimNetwork(clock=VirtualClock())
+                else:
+                    net = stack.enter_context(TcpTransport(request_timeout=10.0))
+                target = Endpoint(net, "svc")
+                depth = 3000
+                nested = ('<Message ns="jxta-overlay" type="x">'
+                          + "<E>" * depth + "</E>" * depth + "</Message>")
+                net.send("peer:rogue", "svc", nested.encode())
+                assert _wait_for(
+                    lambda: target.metrics.count("rx.undecodable") == 1)
+                assert target.metrics.count("rx.undecodable.JxtaError") == 1
+                assert registry.count("net.tcp.handler_errors") == 0
+                target.close()
+        finally:
+            obs.set_registry(saved)

@@ -51,3 +51,38 @@ class TestUnescape:
     @given(st.text(max_size=200))
     def test_attr_roundtrip(self, text):
         assert unescape(escape_attr(text)) == text
+
+
+class TestStrictCharacterReferences:
+    @pytest.mark.parametrize("ref", [
+        "&#1_0;",       # int() would take the underscore
+        "&#+65;",       # ... and a sign
+        "&# 65;",       # ... and surrounding whitespace
+        "&#x 41;",
+        "&#x;",
+        "&#;",
+        "&#\u0666\u0665;",  # non-ASCII digits
+        "&#xD800;",     # a lone surrogate cannot be encoded as UTF-8
+        "&#57343;",     # 0xDFFF
+        "&#x110000;",   # past the last code point
+        "&#1114112;",
+    ])
+    def test_rejected(self, ref):
+        with pytest.raises(ValueError):
+            unescape(f"a{ref}b")
+
+    @pytest.mark.parametrize("ref, char", [
+        ("&#0065;", "A"),
+        ("&#xd7ff;", "\ud7ff"),
+        ("&#xE000;", "\ue000"),
+        ("&#x10FFFF;", "\U0010ffff"),
+        ("&#1114111;", "\U0010ffff"),
+    ])
+    def test_accepted(self, ref, char):
+        assert unescape(ref) == char
+
+
+class TestUnescapeFastPath:
+    @given(st.text(alphabet=st.characters(blacklist_characters="&"), max_size=200))
+    def test_no_ampersand_returns_input_object(self, text):
+        assert unescape(text) is text

@@ -1,11 +1,12 @@
-"""The recursive-descent XML parser."""
+"""The XML parser."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import XMLParseError
-from repro.xmllib import Element, parse, serialize
+from repro.xmllib import Element, canonicalize, parse, serialize
+from repro.xmllib.parser import MAX_DEPTH
 
 
 class TestBasics:
@@ -46,6 +47,9 @@ class TestBasics:
     def test_attr_entities(self):
         assert parse('<A v="&amp;&quot;"/>').get("v") == '&"'
 
+    def test_no_space_between_attributes_still_accepted(self):
+        assert parse('<A x="1"y=\'2\'/>').attrib == {"x": "1", "y": "2"}
+
 
 class TestRejections:
     @pytest.mark.parametrize("bad", [
@@ -61,6 +65,32 @@ class TestRejections:
         "<A>&undefined;</A>",       # unknown entity
         "<!DOCTYPE html><A/>",      # DTD forbidden
         "<A><!ENTITY x 'y'></A>",   # entity decl forbidden
+        "<A>&#1_0;</A>",            # lenient int() forms
+        "<A>&#+65;</A>",
+        "<A>&# 65;</A>",
+        '<A v="&#x 41;"/>',
+        "<A>&#xD800;</A>",          # lone surrogate
+        '<A v="&#xDFFF;"/>',
+        "<A>&#x110000;</A>",        # past U+10FFFF
+        "<A>&#9999999999;</A>",
+        "<A>&amp</A>",              # unterminated reference
+        "<A!/>",                    # name characters outside the grammar
+        "<1A/>",
+        "<A 1x='v'/>",
+        "<Ax='v'/>",                # no space between tag name and attribute
+        "<A/ >",
+        "<A x='v'",                 # unterminated start tag
+        "<A></A",                   # unterminated end tag
+        "< A/>",
+        "<A><!-- open </A>",        # unterminated comment, CDATA and PI
+        "<A><![CDATA[open</A>",
+        "<A><?pi open</A>",
+        "<?xml version='1.0'",
+        "<A><!X></A>",              # other markup declarations
+        "<A/></A>",
+        "</A>",
+        "<A/><!-- tail",
+        "<A/>\x00",
     ])
     def test_malformed_rejected(self, bad):
         with pytest.raises(XMLParseError):
@@ -69,6 +99,27 @@ class TestRejections:
     def test_trailing_garbage_rejected(self):
         with pytest.raises(XMLParseError):
             parse("<A/>garbage")
+
+
+class TestDepthLimit:
+    @staticmethod
+    def nested(depth: int) -> str:
+        return "<E>" * (depth - 1) + "<E/>" + "</E>" * (depth - 1)
+
+    def test_limit_is_accepted_and_walkable(self):
+        root = parse(self.nested(MAX_DEPTH))
+        assert sum(1 for _ in root.iter()) == MAX_DEPTH
+        assert parse(serialize(root)).structurally_equal(root)
+        assert canonicalize(root).count(b"<E>") == MAX_DEPTH
+
+    @pytest.mark.parametrize("depth", [MAX_DEPTH + 1, 3000])
+    def test_deeper_is_rejected(self, depth):
+        with pytest.raises(XMLParseError, match="deeper than"):
+            parse(self.nested(depth))
+
+    def test_unclosed_deep_prefix_is_rejected(self):
+        with pytest.raises(XMLParseError, match="deeper than"):
+            parse("<E>" * 3000)
 
 
 # strategy for generating random element trees
