@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import baseline_comparison, fixtures, format_baselines
-from repro.bench.baselines import CbjxEchoPair, TlsClientDriver, TlsEchoServer
+from repro.bench.tls_cbjx import CbjxEchoPair, TlsClientDriver, TlsEchoServer
 from repro.crypto.drbg import HmacDrbg
 from benchmarks.conftest import BENCH_POLICY
 

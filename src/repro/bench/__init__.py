@@ -34,14 +34,11 @@ from repro.bench.msgfast import (
     write_bench_msgfast,
 )
 from repro.bench.profile import (
-    HOTPATH_SPEEDUP_TARGET,
     REGRESSION_TOLERANCE,
     format_hotpath,
     hotpath_report,
     layer_ladder,
     render_layer_table,
-    stage_report,
-    steady_state_ab,
     write_bench_hotpath,
 )
 from repro.bench.group import (
@@ -84,7 +81,6 @@ __all__ = [
     "secure_reject_probe",
     "write_bench_fed",
     "GROUP_SIZES",
-    "HOTPATH_SPEEDUP_TARGET",
     "LOSS_RATES",
     "RATE_COUNTS",
     "REGRESSION_TOLERANCE",
@@ -92,8 +88,6 @@ __all__ = [
     "hotpath_report",
     "layer_ladder",
     "render_layer_table",
-    "stage_report",
-    "steady_state_ab",
     "write_bench_hotpath",
     "format_msgfast",
     "msgfast_report",

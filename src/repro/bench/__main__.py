@@ -12,9 +12,8 @@ every experiment for CI smoke runs.
 * ``fed`` — E-FED: sharded-federation sweep, ``BENCH_FED.json``.
 * ``group`` — E-GROUP: broker-mediated group cast vs the iterated
   fan-out (O(1) sender cost, relay amplification), ``BENCH_GROUP.json``.
-* ``hotpath`` — E-HOTPATH: per-stage hot-path profile, the legacy-vs-
-  optimized steady-state A/B and the layer-cost ladder,
-  ``BENCH_HOTPATH.json``.
+* ``hotpath`` — E-HOTPATH: the layer-cost ladder with per-message work
+  counts, ``BENCH_HOTPATH.json``.
 * ``scale`` — E-SCALE: the scenario-engine population experiment
   (churn storm + Sybil flood + eclipse + frame storm over an 8-broker
   ring), ``BENCH_SCALE.json``.

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.bench import fixtures
-from repro.bench.baselines import CbjxEchoPair, TlsClientDriver, TlsEchoServer
+from repro.bench.tls_cbjx import CbjxEchoPair, TlsClientDriver, TlsEchoServer
 from repro.bench.timing import mean_total, overhead_pct, repeat_timed, timed_call
 from repro.core.policy import DEFAULT_POLICY, SecurityPolicy
 from repro.crypto.drbg import HmacDrbg

@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import json
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -263,26 +262,24 @@ def _wire_cell(mode: str, load: str,
     rx.register("rx", lambda frame: received.append(frame.payload) or None)
     tx = SimTransport(net)
     policy = linkq.LinkPolicy()
-    tx.configure_links(policy)
+    # "legacy" is the transport without a link scheduler: the wire the
+    # pre-scheduler code produced.
+    if mode != "legacy":
+        tx.configure_links(policy)
     if mode == "batched+zlib":
         tx.set_link_compression("tx", "rx", 6)
     payloads = _wire_payloads(messages)
     units0 = net.stats.frames_sent
     bytes0 = net.stats.bytes_sent
     t0 = net.clock.now
-    # "legacy" exercises the off-switch: scheduler installed, batching
-    # flag down — the wire must look exactly like the pre-scheduler code.
-    ctx = (linkq.flags(frame_batching=False) if mode == "legacy"
-           else nullcontext())
-    with ctx:
-        if load == "burst":
-            with tx.corked():
-                for payload in payloads:
-                    tx.send("tx", "rx", payload)
-        else:
+    if load == "burst":
+        with tx.corked():
             for payload in payloads:
                 tx.send("tx", "rx", payload)
-                net.clock.advance(policy.idle_flush_s * 2)
+    else:
+        for payload in payloads:
+            tx.send("tx", "rx", payload)
+            net.clock.advance(policy.idle_flush_s * 2)
     wire_units = net.stats.frames_sent - units0
     bytes_on_wire = net.stats.bytes_sent - bytes0
     virtual_s = net.clock.now - t0

@@ -1,13 +1,13 @@
-"""E-HOTPATH: profile the steady-state message path, gate the speedup.
+"""E-HOTPATH: price each stacked layer of the message path, gate its work.
 
 Five PRs stacked per-message layers onto the secure-messaging path —
 codec, wire boundary, observability, federation routing, seal/resume
-crypto.  This experiment decomposes that path into **stage timings**
-(each optimization measured against the legacy implementation it
-replaced, toggled live through :mod:`repro.perf`), measures the
-**end-to-end steady state** (resumed secure sends per second, all
-optimizations off vs on, in the same process) and prices the **layer
-ladder** (plain → +wire → +obs → +secure → +resumed).
+crypto.  This experiment prices that path as a **layer ladder**
+(plain → +wire → +obs → +secure → +resumed): every row sends the same
+chat-sized message and records, per message, the wall-clock cost and
+the work the simulator and the row's metrics registry count — frames
+and bytes on the network, RSA private/public/verify operations,
+envelope and resume seal/open calls.
 
 ``python -m repro.bench --experiment hotpath`` prints the report, writes
 ``BENCH_HOTPATH.json`` and exits nonzero if an acceptance check fails.
@@ -16,17 +16,18 @@ repro.bench.profile --help``):
 
 * ``--gate FRESH [BASELINE]`` — regression gate.  Compares a fresh
   ``BENCH_HOTPATH.json`` against the committed baseline and fails when
-  the **normalized throughput** (optimized/legacy speedup, which is
-  machine-independent — absolute msgs/sec is not) drops by more than
-  :data:`REGRESSION_TOLERANCE`.
+  any row's per-message work count rises (bytes per message may grow by
+  :data:`REGRESSION_TOLERANCE`).  The counts are deterministic on the
+  simulator, so the gate is exact on any machine; wall-clock figures
+  are reported but not gated, because their run-to-run spread on a
+  shared host is wider than any useful bound.
 * ``--check-docs [DOC]`` — drift gate.  The layer-cost table embedded
   in ``docs/PERFORMANCE.md`` must match the one rendered from the
   committed baseline JSON byte-for-byte (same pattern as
   ``python -m repro.wire --check-docs``).
 
-``--cprofile [N]`` runs N optimized steady-state sends under
-:mod:`cProfile` and prints the hottest functions, which is how the
-optimization targets in this module were found in the first place.
+``--cprofile [N]`` runs N steady-state resumed sends under
+:mod:`cProfile` and prints the hottest functions.
 """
 
 from __future__ import annotations
@@ -35,19 +36,12 @@ import json
 import time
 from pathlib import Path
 
-from repro import obs, perf
+from repro import obs
 from repro.bench import fixtures
+from repro.bench.msgfast import _restore_registry, _swap_registry, bench_policy
 from repro.bench.paths import bench_out_path
-from repro.crypto import chacha20, envelope, resume
-from repro.crypto.drbg import HmacDrbg
-from repro.jxta.messages import Message
-from repro.overlay.federation import HashRing
-from repro.wire import catalogue
 
-#: acceptance floor on the end-to-end steady-state speedup (off → on)
-HOTPATH_SPEEDUP_TARGET = 2.0
-
-#: --gate tolerance: fail when normalized throughput drops this much
+#: --gate tolerance on bytes per message (the only count allowed to grow)
 REGRESSION_TOLERANCE = 0.20
 
 #: where CI keeps the committed reference run
@@ -59,256 +53,68 @@ PERFORMANCE_DOC = "docs/PERFORMANCE.md"
 BEGIN_MARK = "<!-- BEGIN GENERATED LAYER COST TABLE -->"
 END_MARK = "<!-- END GENERATED LAYER COST TABLE -->"
 
-#: payload used by every stage and end-to-end probe (a chat-sized frame)
+#: payload every ladder row sends (a chat-sized frame)
 _PAYLOAD_TEXT = "hot-path probe " * 4
 
+#: per-message work counts read from each row's registry, by report key
+REGISTRY_COUNTS = {
+    "rsa_private": "crypto.rsa.private_op",
+    "rsa_public": "crypto.rsa.public_op",
+    "rsa_verify": "crypto.rsa.verify_op",
+    "envelope_seal": "crypto.envelope.seal",
+    "envelope_open": "crypto.envelope.open",
+    "resume_seal": "crypto.resume.seal",
+    "resume_open": "crypto.resume.open",
+}
 
-# -- micro timing ----------------------------------------------------------
+#: every gated per-message count; all but ``bytes`` must not rise at all
+WORK_COUNTS = ("frames", "bytes", *REGISTRY_COUNTS)
 
 
-def _us_per_op(fn, repeats: int, warmup: int = 3) -> float:
-    """Mean microseconds per call of ``fn`` over ``repeats`` runs."""
-    for _ in range(warmup):
-        fn()
-    t0 = time.perf_counter()
-    for _ in range(repeats):
-        fn()
-    return (time.perf_counter() - t0) / repeats * 1e6
+def _work(net, registry: obs.Registry) -> dict[str, int]:
+    """Cumulative work so far: the simulator's traffic and the counters."""
+    work = {"frames": net.stats.frames_sent, "bytes": net.stats.bytes_sent}
+    for key, name in REGISTRY_COUNTS.items():
+        work[key] = registry.count(name)
+    return work
 
 
-def _stage(name: str, flag: str, legacy_fn, optimized_fn,
-           repeats: int) -> dict:
-    """One stage cell: legacy vs optimized implementation, µs/op each.
+def _measure_sends(send, messages: int, net, registry: obs.Registry) -> dict:
+    """Wall-clock a send loop and count its work per message.
 
-    ``flag`` names the :mod:`repro.perf` switch the optimized variant
-    rides on (purely informational in the report).
+    Throughput is real CPU seconds, not simulated time (the simulated
+    network adds no wall cost).  Frames and bytes come from the
+    simulator's own traffic stats, which it keeps whether or not the
+    row records metrics; the crypto counts come from ``registry``.
     """
-    legacy_us = _us_per_op(legacy_fn, repeats)
-    optimized_us = _us_per_op(optimized_fn, repeats)
-    return {
-        "stage": name,
-        "flag": flag,
-        "legacy_us": round(legacy_us, 3),
-        "optimized_us": round(optimized_us, 3),
-        "speedup": round(legacy_us / optimized_us, 3)
-        if optimized_us else float("inf"),
-    }
-
-
-def _chat_message() -> Message:
-    chat = Message("chat")
-    chat.add_text("from_peer", "urn:jxta:peer-bench")
-    chat.add_text("from_user", "bench")
-    chat.add_text("group", "bench")
-    chat.add_text("text", _PAYLOAD_TEXT)
-    return chat
-
-
-def stage_report(repeats: int = 2000) -> list[dict]:
-    """Per-stage breakdown of the message path, legacy vs optimized.
-
-    Every row toggles exactly one :mod:`repro.perf` switch (or calls the
-    kept reference implementation directly), so the deltas compose into
-    the end-to-end speedup the steady-state probe measures.
-    """
-    stages: list[dict] = []
-
-    # codec: serialize cost on the resend/relay path (to_wire memoized)
-    chat = _chat_message()
-    wire_bytes = chat.to_wire()
-
-    def encode_legacy():
-        with perf.flags(wire_cache=False):
-            msg = _chat_message()
-            msg.to_wire()
-            msg.to_wire()  # the relay/retry re-serialization
-
-    def encode_optimized():
-        msg = _chat_message()
-        msg.to_wire()
-        msg.to_wire()  # free: cached buffer
-
-    stages.append(_stage("codec encode x2 (send + relay)", "wire_cache",
-                         encode_legacy, encode_optimized, repeats // 4))
-
-    # codec: parse + re-serialize, the broker's store-and-forward shape
-    def reencode_legacy():
-        with perf.flags(wire_cache=False):
-            Message.from_wire(wire_bytes).to_wire()
-
-    def reencode_optimized():
-        Message.from_wire(wire_bytes).to_wire()
-
-    stages.append(_stage("codec decode + re-encode (forward)", "wire_cache",
-                         reencode_legacy, reencode_optimized, repeats // 4))
-
-    # wire boundary: interpretive FrameSpec.decode vs the compiled closure
-    spec = catalogue.get("chat")
-    sample = spec.sample_message()
-    compiled = spec.compiled()
-    stages.append(_stage("wire boundary decode", "compiled_decoders",
-                         lambda: spec.decode(sample),
-                         lambda: compiled(sample), repeats))
-
-    # federation: consistent-hash owner lookup, memoized vs reference
-    ring = HashRing()
-    for i in range(5):
-        ring.add(f"broker:{i}")
-    keys = [f"urn:jxta:peer-{i}" for i in range(64)]
-    counter = {"i": 0}
-
-    def ring_legacy():
-        counter["i"] += 1
-        ring.owner_uncached(keys[counter["i"] % len(keys)])
-
-    def ring_optimized():
-        counter["i"] += 1
-        ring.owner(keys[counter["i"] % len(keys)])
-
-    stages.append(_stage("ring owner lookup", "ring_memo",
-                         ring_legacy, ring_optimized, repeats))
-
-    # obs: counter increment, string-keyed registry vs interned instrument
-    registry = obs.Registry(enabled=True)
-    saved = obs.get_registry()
-    obs.set_registry(registry)
-    try:
-        interned = obs.InternedCounter("bench.hotpath.incr")
-        stages.append(_stage(
-            "obs counter increment", "interned_metrics",
-            lambda: registry.incr("bench.hotpath.incr"),
-            lambda: interned.incr(), repeats * 4))
-    finally:
-        obs.set_registry(saved)
-
-    # crypto: the ChaCha20 keystream behind every sealed frame (1 KiB)
-    key, nonce = b"k" * 32, b"n" * 12
-
-    def chacha_legacy():
-        with perf.flags(chacha_vector=False):
-            chacha20.keystream(key, 1, nonce, 16, use_numpy=True)
-
-    stages.append(_stage(
-        "chacha20 keystream (1 KiB)", "chacha_vector",
-        chacha_legacy,
-        lambda: chacha20.keystream(key, 1, nonce, 16), repeats // 4))
-
-    # crypto: one resumed frame, seal + open (zero RSA by construction)
-    payload = _PAYLOAD_TEXT.encode("utf-8") * 16
-    seed = b"s" * envelope.RESUME_SEED_LEN
-    tx = resume.derive_session(seed, "chacha20poly1305", 0.0)
-    rx = resume.derive_session(seed, "chacha20poly1305", 0.0)
-
-    def resumed_roundtrip():
-        env = resume.seal_resumed(tx, payload, aad=b"bench")
-        resume.open_resumed(rx, env, aad=b"bench")
-
-    def resumed_legacy():
-        with perf.flags(chacha_vector=False):
-            resumed_roundtrip()
-
-    stages.append(_stage("resume seal + open (1 KiB)", "chacha_vector",
-                         resumed_legacy, resumed_roundtrip, repeats // 8))
-
-    # crypto: the establishing envelope (RSA wrap dominates; the flag
-    # only reaches the symmetric body, so this row bounds what any
-    # symmetric-side work can save on session establishment)
-    keys_rsa = fixtures.cached_keypair(512, "hotpath-env")
-    drbg = HmacDrbg(b"hotpath-envelope")
-
-    def envelope_roundtrip():
-        env = envelope.seal(keys_rsa.public, payload, drbg=drbg,
-                            wrap=envelope.WRAP_V15)
-        envelope.open_(keys_rsa.private, env)
-
-    def envelope_legacy():
-        with perf.flags(chacha_vector=False):
-            envelope_roundtrip()
-
-    stages.append(_stage("envelope seal + open (establish)", "chacha_vector",
-                         envelope_legacy, envelope_roundtrip,
-                         max(repeats // 50, 10)))
-    return stages
-
-
-# -- end-to-end steady state ----------------------------------------------
-
-
-def _swap_registry() -> tuple[obs.Registry, tuple]:
-    registry = obs.Registry(enabled=True)
-    saved = (obs.get_registry(), obs.get_tracer(), obs.get_events())
-    obs.set_registry(registry)
-    obs.set_tracer(obs.Tracer(registry=registry))
-    obs.set_events(obs.ProtocolEvents(registry=registry))
-    return registry, saved
-
-
-def _restore_registry(saved: tuple) -> None:
-    obs.set_registry(saved[0])
-    obs.set_tracer(saved[1])
-    obs.set_events(saved[2])
-
-
-def _measure_sends(send, messages: int) -> dict:
-    """Wall-clock a send loop; throughput is real CPU seconds, not
-    simulated time (the simulated network adds no wall cost)."""
+    before = _work(net, registry)
     delivered = 0
     t0 = time.perf_counter()
     for _ in range(messages):
         if send():
             delivered += 1
     wall_s = time.perf_counter() - t0
+    after = _work(net, registry)
     return {
         "messages": messages,
         "delivered": delivered,
         "wall_s": round(wall_s, 6),
         "ms_per_msg": round(wall_s / messages * 1e3, 4) if messages else 0.0,
         "msgs_per_sec": round(messages / wall_s, 2) if wall_s else 0.0,
+        "per_msg": {key: round((after[key] - before[key]) / messages, 3)
+                    for key in WORK_COUNTS},
     }
 
 
 def _steady_world(seed: bytes):
     """A joined two-client secure world with a minted resume session."""
-    from repro.bench.msgfast import bench_policy
-
     net, _admin, _broker, clients = fixtures.build_secure_world(
         n_clients=2, policy=bench_policy(True), seed=seed, joined=True)
     sender, receiver = clients
     # establish: the first send mints the pair-wise session (RSA here,
-    # never again) and warms every cache the flags will consult
+    # never again) and warms every cache
     sender.secure_msg_peer(str(receiver.peer_id), "bench", "establish")
     return net, sender, receiver
-
-
-def steady_state_ab(messages: int = 150) -> dict:
-    """The headline A/B: resumed secure sends, all flags off vs on.
-
-    Each mode gets its own world (same seed) so the legacy run cannot
-    ride caches the optimized warm-up filled.  ``speedup`` is the
-    normalized throughput the regression gate tracks.
-    """
-    modes = {}
-    for label, enabled in (("legacy", False), ("optimized", True)):
-        registry, saved = _swap_registry()
-        try:
-            with perf.flags(all=enabled):
-                _net, sender, receiver = _steady_world(b"e-hotpath-steady")
-                stats = _measure_sends(
-                    lambda: sender.secure_msg_peer(
-                        str(receiver.peer_id), "bench", _PAYLOAD_TEXT),
-                    messages)
-            stats["resumed_frames"] = registry.count("crypto.resume.seal")
-            modes[label] = stats
-        finally:
-            _restore_registry(saved)
-    legacy, optimized = modes["legacy"], modes["optimized"]
-    return {
-        "legacy": legacy,
-        "optimized": optimized,
-        "speedup": round(
-            optimized["msgs_per_sec"] / legacy["msgs_per_sec"], 3)
-        if legacy["msgs_per_sec"] else float("inf"),
-    }
 
 
 # -- the layer ladder ------------------------------------------------------
@@ -331,32 +137,27 @@ def _plain_pair(seed: bytes, wire: bool):
 def layer_ladder(messages: int = 60) -> list[dict]:
     """Price each stacked layer: plain → +wire → +obs → +secure → +resumed.
 
-    Every row runs with the optimizations on (the shipped
-    configuration); the secure rows use the bench policy (512-bit RSA,
-    so the *structure* of the cost is representative, the RSA constants
-    are small).  Rows carry ``x_vs_plain``: how many plain messages one
-    message at this layer costs.
+    The secure rows use the bench policy (512-bit RSA, so the
+    *structure* of the cost is representative, the RSA constants are
+    small).  Rows carry ``x_vs_plain`` — how many plain messages one
+    message at this layer costs — and ``per_msg``, the work counts the
+    gate checks.
     """
-    from repro.bench.msgfast import bench_policy
-
     rows: list[dict] = []
 
     def _run(layer: str, build, obs_enabled: bool) -> None:
-        registry = obs.Registry(enabled=obs_enabled)
-        saved = (obs.get_registry(), obs.get_tracer(), obs.get_events())
-        obs.set_registry(registry)
-        obs.set_tracer(obs.Tracer(registry=registry))
-        obs.set_events(obs.ProtocolEvents(registry=registry))
+        registry, saved = _swap_registry()
+        registry.enabled = obs_enabled
         try:
-            send = build()
-            stats = _measure_sends(send, messages)
+            net, send = build()
+            stats = _measure_sends(send, messages, net, registry)
         finally:
             _restore_registry(saved)
         rows.append({"layer": layer, **stats})
 
     def plain_send(wire: bool):
-        _net, sender, receiver = _plain_pair(b"e-hotpath-ladder", wire=wire)
-        return lambda: sender.send_msg_peer(
+        net, sender, receiver = _plain_pair(b"e-hotpath-ladder", wire=wire)
+        return net, lambda: sender.send_msg_peer(
             str(receiver.peer_id), "bench", _PAYLOAD_TEXT).ok
 
     def secure_send(fast: bool):
@@ -365,7 +166,7 @@ def layer_ladder(messages: int = 60) -> list[dict]:
             seed=b"e-hotpath-ladder-sec", joined=True)
         sender, receiver = clients
         sender.secure_msg_peer(str(receiver.peer_id), "bench", "warm")
-        return lambda: sender.secure_msg_peer(
+        return net, lambda: sender.secure_msg_peer(
             str(receiver.peer_id), "bench", _PAYLOAD_TEXT)
 
     _run("plain", lambda: plain_send(wire=False), obs_enabled=False)
@@ -384,77 +185,56 @@ def layer_ladder(messages: int = 60) -> list[dict]:
 # -- the experiment document ----------------------------------------------
 
 
-def _checks(steady: dict, ladder: list[dict]) -> dict:
-    delivered_ok = all(
-        row["delivered"] == row["messages"] for row in ladder)
-    steady_ok = (steady["legacy"]["delivered"]
-                 == steady["legacy"]["messages"]
-                 and steady["optimized"]["delivered"]
-                 == steady["optimized"]["messages"])
+def _checks(ladder: list[dict]) -> dict:
+    resumed = next(row for row in ladder if row["layer"] == "+secure resumed")
+    per_msg = resumed["per_msg"]
     checks = {
-        "steady_state_speedup": steady["speedup"],
-        "speedup_at_least_%.0fx" % HOTPATH_SPEEDUP_TARGET:
-            steady["speedup"] >= HOTPATH_SPEEDUP_TARGET,
-        "all_delivered": delivered_ok and steady_ok,
+        "all_delivered": all(
+            row["delivered"] == row["messages"] for row in ladder),
+        "resumed_zero_rsa": (per_msg["rsa_private"] == per_msg["rsa_public"]
+                             == per_msg["rsa_verify"] == 0),
     }
-    checks["all_passed"] = all(
-        value for value in checks.values() if isinstance(value, bool))
+    checks["all_passed"] = all(checks.values())
     return checks
 
 
 def hotpath_report(quick: bool = False) -> dict:
-    """The complete E-HOTPATH document (stages + A/B + ladder + checks)."""
-    stages = stage_report(repeats=400 if quick else 2000)
-    steady = steady_state_ab(messages=60 if quick else 150)
+    """The complete E-HOTPATH document (the ladder + its checks)."""
     ladder = layer_ladder(messages=25 if quick else 60)
     return {
         "experiment": "E-HOTPATH",
         "quick": quick,
-        "flags": perf.FLAGS.to_dict(),
-        "speedup_target": HOTPATH_SPEEDUP_TARGET,
-        "stages": stages,
-        "steady_state": steady,
         "layers": ladder,
-        "checks": _checks(steady, ladder),
+        "checks": _checks(ladder),
     }
+
+
+def _triple(per_msg: dict, *keys: str) -> str:
+    return "/".join(f"{per_msg[key]:g}" for key in keys)
 
 
 def format_hotpath(data: dict) -> str:
     lines = [
-        "E-HOTPATH: stage timings, legacy vs optimized (µs/op)",
-        f"  {'stage':<34}  {'flag':<20}  {'legacy':>9}  "
-        f"{'optimized':>9}  {'speedup':>8}",
-    ]
-    for row in data["stages"]:
-        lines.append(
-            f"  {row['stage']:<34}  {row['flag']:<20}  "
-            f"{row['legacy_us']:>9.1f}  {row['optimized_us']:>9.1f}  "
-            f"{row['speedup']:>7.2f}x")
-    steady = data["steady_state"]
-    lines += [
-        "",
-        "E-HOTPATH: steady-state resumed secure messaging (end to end)",
-        f"  legacy    : {steady['legacy']['msgs_per_sec']:>8.1f} msgs/sec "
-        f"({steady['legacy']['ms_per_msg']:.2f} ms/msg)",
-        f"  optimized : {steady['optimized']['msgs_per_sec']:>8.1f} msgs/sec "
-        f"({steady['optimized']['ms_per_msg']:.2f} ms/msg)",
-        f"  speedup   : {steady['speedup']:.2f}x "
-        f"(target >= {data['speedup_target']:.1f}x)",
-        "",
-        "E-HOTPATH: the layer ladder (optimizations on)",
-        f"  {'layer':<22}  {'msgs/sec':>9}  {'ms/msg':>8}  {'x plain':>8}",
+        "E-HOTPATH: the layer ladder (wall clock is information only)",
+        f"  {'layer':<22}  {'msgs/sec':>9}  {'ms/msg':>8}  {'x plain':>8}  "
+        f"{'frames':>6}  {'bytes':>7}  {'rsa p/u/v':>11}  {'env s/o':>7}  "
+        f"{'res s/o':>7}",
     ]
     for row in data["layers"]:
+        n = row["per_msg"]
         lines.append(
             f"  {row['layer']:<22}  {row['msgs_per_sec']:>9.1f}  "
-            f"{row['ms_per_msg']:>8.2f}  {row['x_vs_plain']:>7.2f}x")
+            f"{row['ms_per_msg']:>8.2f}  {row['x_vs_plain']:>7.2f}x  "
+            f"{n['frames']:>6g}  {n['bytes']:>7g}  "
+            f"{_triple(n, 'rsa_private', 'rsa_public', 'rsa_verify'):>11}  "
+            f"{_triple(n, 'envelope_seal', 'envelope_open'):>7}  "
+            f"{_triple(n, 'resume_seal', 'resume_open'):>7}")
     checks = data["checks"]
     lines += ["", "E-HOTPATH acceptance checks:"]
     for key, value in sorted(checks.items()):
         if key == "all_passed":
             continue
-        shown = f"{value:.2f}x" if isinstance(value, float) else value
-        lines.append(f"  {key:<34} : {shown}")
+        lines.append(f"  {key:<34} : {value}")
     lines.append(f"  {'all_passed':<34} : {checks['all_passed']}")
     return "\n".join(lines)
 
@@ -475,23 +255,28 @@ def check_regression(fresh: dict, baseline: dict,
                      tolerance: float = REGRESSION_TOLERANCE) -> list[str]:
     """Problems (empty = pass) comparing a fresh run to the baseline.
 
-    The gated quantity is the **normalized throughput** — the
-    optimized/legacy speedup measured in one process — because absolute
-    msgs/sec tracks the host machine, not the code.  Absolute throughput
-    is still reported for eyeballs.
+    The gated quantities are each row's per-message work counts, exact
+    on the simulator: a count above the baseline's is a regression,
+    except bytes per message, which may grow by ``tolerance``.
+    Wall-clock figures are not compared.
     """
     problems: list[str] = []
-    fresh_speedup = fresh["steady_state"]["speedup"]
-    base_speedup = baseline["steady_state"]["speedup"]
-    floor = base_speedup * (1.0 - tolerance)
-    if fresh_speedup < floor:
-        problems.append(
-            f"normalized throughput regressed: speedup {fresh_speedup:.2f}x "
-            f"< {floor:.2f}x ({(1 - tolerance) * 100:.0f}% of the baseline "
-            f"{base_speedup:.2f}x)")
+    fresh_rows = {row["layer"]: row for row in fresh["layers"]}
+    for base_row in baseline["layers"]:
+        layer = base_row["layer"]
+        row = fresh_rows.get(layer)
+        if row is None:
+            problems.append(f"layer {layer!r} missing from the fresh run")
+            continue
+        for key in WORK_COUNTS:
+            got, ref = row["per_msg"][key], base_row["per_msg"][key]
+            limit = ref * (1.0 + tolerance) if key == "bytes" else ref
+            if got > limit:
+                problems.append(
+                    f"{layer}: {key} per message rose to {got:g} "
+                    f"(baseline {ref:g}, limit {limit:g})")
     if not fresh["checks"]["all_passed"]:
-        failed = [k for k, v in fresh["checks"].items()
-                  if isinstance(v, bool) and not v]
+        failed = [k for k, v in fresh["checks"].items() if not v]
         problems.append(f"fresh run failed its own checks: {failed}")
     return problems
 
@@ -505,13 +290,8 @@ def gate(fresh_path: str, baseline_path: str = BASELINE_PATH,
         print(f"hotpath gate: cannot load inputs: {exc}")
         return 2
     problems = check_regression(fresh, baseline, tolerance)
-    fresh_tp = fresh["steady_state"]["optimized"]["msgs_per_sec"]
-    base_tp = baseline["steady_state"]["optimized"]["msgs_per_sec"]
-    print(f"hotpath gate: fresh speedup "
-          f"{fresh['steady_state']['speedup']:.2f}x vs baseline "
-          f"{baseline['steady_state']['speedup']:.2f}x "
-          f"(absolute: {fresh_tp:.0f} vs {base_tp:.0f} msgs/sec, "
-          "informational)")
+    print(f"hotpath gate: per-message work of {len(fresh['layers'])} layers "
+          f"vs {baseline_path}")
     for problem in problems:
         print(f"hotpath gate: FAIL: {problem}")
     if not problems:
@@ -528,23 +308,20 @@ def render_layer_table(data: dict) -> str:
     Rendered from a bench document (CI renders from the **committed
     baseline**, so the check is deterministic across machines).
     """
-    steady = data["steady_state"]
     lines = [
-        "| layer | msgs/sec | ms/msg | x vs plain |",
-        "|---|---:|---:|---:|",
+        "| layer | msgs/sec | ms/msg | x vs plain | frames/msg | bytes/msg "
+        "| RSA priv/pub/verify | envelope seal/open | resume seal/open |",
+        "|---|---:|---:|---:|---:|---:|---:|---:|---:|",
     ]
     for row in data["layers"]:
+        n = row["per_msg"]
         lines.append(
             f"| {row['layer']} | {row['msgs_per_sec']:.1f} | "
-            f"{row['ms_per_msg']:.2f} | {row['x_vs_plain']:.2f}x |")
-    lines += [
-        "",
-        f"Steady-state resumed path, optimizations off → on: "
-        f"{steady['legacy']['msgs_per_sec']:.1f} → "
-        f"{steady['optimized']['msgs_per_sec']:.1f} msgs/sec "
-        f"(**{steady['speedup']:.2f}x**, gate ≥ "
-        f"{data['speedup_target']:.1f}x).",
-    ]
+            f"{row['ms_per_msg']:.2f} | {row['x_vs_plain']:.2f}x | "
+            f"{n['frames']:g} | {n['bytes']:g} | "
+            f"{_triple(n, 'rsa_private', 'rsa_public', 'rsa_verify')} | "
+            f"{_triple(n, 'envelope_seal', 'envelope_open')} | "
+            f"{_triple(n, 'resume_seal', 'resume_open')} |")
     return "\n".join(lines) + "\n"
 
 
@@ -601,7 +378,7 @@ def update_docs(doc_path: str = PERFORMANCE_DOC,
 
 
 def run_cprofile(messages: int = 300, top: int = 20) -> int:
-    """Profile ``messages`` optimized steady-state sends with cProfile."""
+    """Profile ``messages`` steady-state resumed sends with cProfile."""
     import cProfile
     import pstats
 
@@ -643,7 +420,7 @@ def main(argv: list[str] | None = None) -> int:
                        help=f"print the layer table from {BASELINE_PATH}")
     group.add_argument("--cprofile", nargs="?", const=300, type=int,
                        metavar="N",
-                       help="profile N optimized steady-state sends")
+                       help="profile N steady-state resumed sends")
     args = parser.parse_args(argv)
     if args.gate:
         baseline = args.gate[1] if len(args.gate) > 1 else BASELINE_PATH

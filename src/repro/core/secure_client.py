@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Sequence
 
-from repro import obs, perf, wire
+from repro import obs, wire
 from repro.core import secure_connection as sc
 from repro.core import secure_exec as sx
 from repro.core import secure_filesharing as sf
@@ -489,22 +489,14 @@ class SecureClientPeer(ClientPeer):
         """Steps 1-3 of §4.3.1: fetch and validate the signed pipe adv.
 
         The full path canonicalizes and hash-checks the signed document
-        on every send just to *find* the validator's cache entry.  With
-        ``perf.FLAGS.pipe_validation_memo`` the client memoizes the
-        outcome against the cache element's object identity instead —
-        the element cannot have changed if it is literally the same
-        object — while still honouring what can change underneath an
-        unchanged document: credential validity windows and freshly
-        arrived revocations are re-checked on every hit, and
-        :meth:`_flush_trust_caches` drops the memo wholesale.
+        on every send just to *find* the validator's cache entry, so the
+        client memoizes the outcome against the cache element's object
+        identity instead — the element cannot have changed if it is
+        literally the same object — while still honouring what can
+        change underneath an unchanged document: credential validity
+        windows and freshly arrived revocations are re-checked on every
+        hit, and :meth:`_flush_trust_caches` drops the memo wholesale.
         """
-        if not perf.FLAGS.pipe_validation_memo:
-            element = self._resolve_pipe(peer_id, group)
-            validated = self.validator.validate(element, self.clock.now)
-            if not isinstance(validated.advertisement, PipeAdvertisement):
-                raise SecurityError(
-                    f"expected a signed PipeAdvertisement from {peer_id}")
-            return validated
         raw = self._resolve_pipe_entry(peer_id, group)
         memo = self._validated_pipes.get((peer_id, group))
         if memo is not None:

@@ -12,8 +12,7 @@ import struct
 
 import numpy as np
 
-from repro import perf
-from repro.crypto.chacha20 import chacha20_block, chacha20_xor, keystream
+from repro.crypto.chacha20 import keystream
 from repro.crypto.poly1305 import poly1305_mac
 from repro.errors import InvalidTagError
 from repro.utils.bytesutil import constant_time_eq
@@ -35,14 +34,10 @@ def _auth_input(aad: bytes, ciphertext: bytes) -> bytes:
 def _otk_and_xor(key: bytes, nonce: bytes, data: bytes) -> tuple[bytes, bytes]:
     """The Poly1305 one-time key plus ``data`` XOR keystream(counter=1..).
 
-    Fused fast path: block 0 (the OTK) and the message blocks come from
-    **one** keystream call, so the vectorized batch amortizes the block
-    function over the whole operation.  Byte-identical to the two-call
-    legacy path (same blocks at the same counters).
+    Block 0 (the OTK) and the message blocks come from **one** keystream
+    call, so the batched kernel amortizes the block function over the
+    whole operation.
     """
-    if not perf.FLAGS.chacha_vector:
-        return (chacha20_block(key, 0, nonce)[:32],
-                chacha20_xor(key, nonce, data, counter=1))
     n_blocks = (len(data) + 63) // 64
     stream = keystream(key, 0, nonce, n_blocks + 1)
     otk = stream[:32]

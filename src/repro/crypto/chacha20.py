@@ -1,7 +1,7 @@
 """ChaCha20 stream cipher (RFC 8439) with batched fast paths.
 
 The scalar implementation follows the RFC block function literally and
-is the reference.  Three batched formulations exist on top of it:
+is the reference.  Two batched formulations exist on top of it:
 
 * ``_keystream_lanes`` — the bigint-lane kernel, used for every batch
   of at most :data:`LANES_MAX_BLOCKS` blocks.  Each of the 16 state
@@ -32,13 +32,9 @@ is the reference.  Three batched formulations exist on top of it:
   (Python 3.11), the lane kernel takes ~0.2 ms for 9 blocks, ~0.3 ms
   for 65 and ~5 ms for 1025, against a near-flat ~1.2-1.7 ms for rows;
   the crossover lies at about 240 blocks.
-* ``_keystream_numpy`` — the original lane-per-block layout: a
-  ``(16, n_blocks)`` uint32 array, one quarter-round call per QR of the
-  round schedule.  Kept, together with the per-block scalar loop, as
-  the legacy path (``perf.FLAGS.chacha_vector`` off).
 
 ``keystream``/``chacha20_xor`` dispatch on the block count.  The test
-suite checks every path against the RFC 8439 vectors, against
+suite checks both kernels against the RFC 8439 vectors, against
 ``chacha20_block`` and against each other.
 """
 
@@ -49,18 +45,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro import perf
-
 _MASK32 = 0xFFFFFFFF
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)  # "expand 32-byte k"
 
 #: Batches of at most this many 64-byte blocks take the bigint-lane
 #: kernel; larger ones the numpy row kernel (measured crossover ~240).
 LANES_MAX_BLOCKS = 224
-
-#: The legacy dispatch threshold (blocks at which the old numpy path
-#: engaged), preserved for ``perf.FLAGS.chacha_vector = False``.
-_LEGACY_NUMPY_MIN_BLOCKS = 4
 
 
 def _quarter(x: list[int], a: int, b: int, c: int, d: int, m: int) -> None:
@@ -137,46 +127,6 @@ def _keystream_lanes(key: bytes, counter: int, nonce: bytes,
     return lanes[:, :, 0].T.tobytes()
 
 
-def _np_quarter(x: np.ndarray, a: int, b: int, c: int, d: int) -> None:
-    """Quarter round over a (16, n_blocks) uint32 array, in place."""
-    x[a] += x[b]
-    x[d] ^= x[a]
-    x[d] = (x[d] << np.uint32(16)) | (x[d] >> np.uint32(16))
-    x[c] += x[d]
-    x[b] ^= x[c]
-    x[b] = (x[b] << np.uint32(12)) | (x[b] >> np.uint32(20))
-    x[a] += x[b]
-    x[d] ^= x[a]
-    x[d] = (x[d] << np.uint32(8)) | (x[d] >> np.uint32(24))
-    x[c] += x[d]
-    x[b] ^= x[c]
-    x[b] = (x[b] << np.uint32(7)) | (x[b] >> np.uint32(25))
-
-
-def _keystream_numpy(key: bytes, counter: int, nonce: bytes, n_blocks: int) -> bytes:
-    """Legacy lane-per-block keystream (one QR call per schedule entry)."""
-    init = np.empty((16, n_blocks), dtype=np.uint32)
-    init[0:4] = np.array(_CONSTANTS, dtype=np.uint32)[:, None]
-    init[4:12] = np.frombuffer(key, dtype="<u4").astype(np.uint32)[:, None]
-    counters = (np.arange(n_blocks, dtype=np.uint64) + np.uint64(counter)) & np.uint64(_MASK32)
-    init[12] = counters.astype(np.uint32)
-    init[13:16] = np.frombuffer(nonce, dtype="<u4").astype(np.uint32)[:, None]
-    x = init.copy()
-    with np.errstate(over="ignore"):
-        for _ in range(10):
-            _np_quarter(x, 0, 4, 8, 12)
-            _np_quarter(x, 1, 5, 9, 13)
-            _np_quarter(x, 2, 6, 10, 14)
-            _np_quarter(x, 3, 7, 11, 15)
-            _np_quarter(x, 0, 5, 10, 15)
-            _np_quarter(x, 1, 6, 11, 12)
-            _np_quarter(x, 2, 7, 8, 13)
-            _np_quarter(x, 3, 4, 9, 14)
-        x += init
-    # Column-major lanes -> per-block 64-byte chunks, little-endian words.
-    return x.T.astype("<u4").tobytes()
-
-
 def _qr_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
              t: np.ndarray) -> None:
     """One quarter round over four (4, n_blocks) rows at once, in place.
@@ -236,49 +186,27 @@ def _keystream_rows(key: bytes, counter: int, nonce: bytes, n_blocks: int) -> by
     return x.reshape(16, n_blocks).T.astype("<u4").tobytes()
 
 
-def keystream(key: bytes, counter: int, nonce: bytes, n_blocks: int,
-              use_numpy: bool | None = None) -> bytes:
+def keystream(key: bytes, counter: int, nonce: bytes, n_blocks: int) -> bytes:
     """``n_blocks`` consecutive 64-byte keystream blocks from ``counter``.
 
-    ``use_numpy=None`` picks the kernel by block count: the bigint-lane
-    kernel up to :data:`LANES_MAX_BLOCKS`, the numpy row kernel above.
-    The AEAD layer uses this to fuse the Poly1305 one-time-key block and
-    the message keystream into a single call.  With
-    ``perf.FLAGS.chacha_vector`` off, ``use_numpy`` selects between the
-    legacy per-block scalar loop and the legacy numpy layout.
+    The kernel is picked by block count: the bigint-lane kernel up to
+    :data:`LANES_MAX_BLOCKS`, the numpy row kernel above.  The AEAD layer
+    uses this to fuse the Poly1305 one-time-key block and the message
+    keystream into a single call.
     """
     _check_sizes(key, nonce)
-    if use_numpy is None:
-        use_numpy = n_blocks > LANES_MAX_BLOCKS
-    if not perf.FLAGS.chacha_vector:
-        if use_numpy:
-            return _keystream_numpy(key, counter, nonce, n_blocks)
-        return b"".join(
-            chacha20_block(key, counter + i, nonce) for i in range(n_blocks)
-        )
-    if use_numpy:
+    if n_blocks > LANES_MAX_BLOCKS:
         return _keystream_rows(key, counter, nonce, n_blocks)
     return _keystream_lanes(key, counter, nonce, n_blocks)
 
 
-def chacha20_xor(key: bytes, nonce: bytes, data: bytes, counter: int = 1,
-                 use_numpy: bool | None = None) -> bytes:
-    """Encrypt/decrypt ``data`` (XOR with keystream starting at ``counter``).
-
-    ``use_numpy=None`` picks the path by block count: the optimized
-    dispatch crosses over at :data:`LANES_MAX_BLOCKS`; the legacy
-    configuration (``perf.FLAGS.chacha_vector`` off) keeps the original
-    4-block threshold and the lane-per-block implementation.
-    """
+def chacha20_xor(key: bytes, nonce: bytes, data: bytes,
+                 counter: int = 1) -> bytes:
+    """Encrypt/decrypt ``data`` (XOR with keystream starting at ``counter``)."""
     if not data:
         return b""
     n_blocks = (len(data) + 63) // 64
-    if use_numpy is None:
-        if perf.FLAGS.chacha_vector:
-            use_numpy = n_blocks > LANES_MAX_BLOCKS
-        else:
-            use_numpy = n_blocks >= _LEGACY_NUMPY_MIN_BLOCKS
-    stream = keystream(key, counter, nonce, n_blocks, use_numpy=use_numpy)
+    stream = keystream(key, counter, nonce, n_blocks)
     buf = np.frombuffer(data, dtype=np.uint8) ^ np.frombuffer(
         stream[: len(data)], dtype=np.uint8
     )

@@ -29,8 +29,7 @@ of C-level bigint arithmetic:
   for 4 KiB and 0.9 ms for 64 KiB, against 0.21 ms and 3.5 ms for the
   per-chunk loop.
 
-The per-chunk loop (one ``%`` per chunk) stays as the legacy path,
-taken with ``perf.FLAGS.chacha_vector`` off, and as the reference the
+The per-chunk loop (one ``%`` per chunk) stays as the reference the
 tests compare against.
 """
 
@@ -40,8 +39,6 @@ from functools import lru_cache
 from math import isqrt
 
 import numpy as np
-
-from repro import perf
 
 _P = (1 << 130) - 5
 _CLAMP = 0x0FFFFFFC0FFFFFFC0FFFFFFC0FFFFFFF
@@ -98,7 +95,7 @@ def _poly_lanes(r: int, message: bytes) -> int:
 
 
 def _poly_chunks(r: int, message: bytes) -> int:
-    """The per-chunk reference loop (legacy path)."""
+    """The per-chunk reference loop."""
     acc = 0
     for i in range(0, len(message), 16):
         chunk = message[i:i + 16]
@@ -113,9 +110,5 @@ def poly1305_mac(key: bytes, message: bytes) -> bytes:
         raise ValueError("Poly1305 key must be 32 bytes")
     r = int.from_bytes(key[:16], "little") & _CLAMP
     s = int.from_bytes(key[16:], "little")
-    if perf.FLAGS.chacha_vector:
-        acc = _poly_lanes(r, message)
-    else:
-        acc = _poly_chunks(r, message)
-    acc = (acc + s) & ((1 << 128) - 1)
+    acc = (_poly_lanes(r, message) + s) & ((1 << 128) - 1)
     return acc.to_bytes(16, "little")

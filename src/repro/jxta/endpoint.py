@@ -22,7 +22,6 @@ transport, and the connect/receive/close lifecycle hooks.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import nullcontext
 from typing import Callable, Mapping
 
@@ -51,7 +50,6 @@ class Endpoint:
         or a bare :class:`~repro.sim.network.SimNetwork` (wrapped
         transparently).  ``transport`` is the optional *secure*
         (crypto) transport, kept under its historical name."""
-        self.network = network
         self.net: Transport = as_transport(network)
         self.address = address
         self.transport = transport if transport is not None else PlainTransport()
@@ -149,14 +147,6 @@ class Endpoint:
         if on_close is not None:
             self._on_close = on_close
         return self
-
-    def install_wire_boundary(self) -> None:
-        """Deprecated alias for ``configure(wire=True)``."""
-        warnings.warn(
-            "Endpoint.install_wire_boundary() is deprecated; use "
-            "Endpoint.configure(wire=True)",
-            DeprecationWarning, stacklevel=2)
-        self.configure(wire=True)
 
     def close(self) -> None:
         """Detach from the transport and drain in-flight state.

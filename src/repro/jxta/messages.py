@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from repro import perf
 from repro.errors import FrameTooLargeError, JxtaError, XMLError, XMLParseError
 from repro.utils.encoding import b64decode, b64encode
 from repro.xmllib import Element, parse, serialize
@@ -161,10 +160,8 @@ class Message:
         """
         if self._wire is not None:
             return self._wire
-        wire = serialize(self.to_element()).encode("utf-8")
-        if perf.FLAGS.wire_cache:
-            self._wire = wire
-        return wire
+        self._wire = serialize(self.to_element()).encode("utf-8")
+        return self._wire
 
     @classmethod
     def from_element(cls, root: Element) -> "Message":
@@ -204,8 +201,7 @@ class Message:
         except (UnicodeDecodeError, XMLParseError, XMLError) as exc:
             raise JxtaError(f"undecodable message: {exc}") from exc
         message = cls.from_element(root)
-        if perf.FLAGS.wire_cache:
-            message._wire = bytes(wire)
+        message._wire = bytes(wire)
         return message
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -31,10 +31,10 @@ optional ``defer(delay, callback)`` timer hook (the TCP backend arms
 the outermost network-operation boundary instead).
 
 Batching only exists where it is asked for: no scheduler is created
-until ``configure_links`` is called on a transport, and the
-:data:`FLAGS` switches (`frame_batching`, `frame_compression`) are
-pure kill-switches for ablation — flipping one off reproduces the
-legacy wire byte-for-byte, which the backend-parity suite checks.
+until ``configure_links`` is called on a transport, so a transport
+without one sends the legacy wire byte-for-byte (the backend-parity
+suite checks it), and compression only runs on a link negotiated at a
+level above 0.
 """
 
 from __future__ import annotations
@@ -47,57 +47,6 @@ from typing import Callable
 from repro import obs
 from repro.errors import CircuitOpenError
 from repro.net import framing
-
-#: Every link-layer switch, in bench-ablation report order.
-FLAG_NAMES = (
-    "frame_batching",
-    "frame_compression",
-)
-
-
-class LinkFlags:
-    """Kill-switches for the link layer.  One global instance, ``FLAGS``."""
-
-    __slots__ = FLAG_NAMES
-
-    def __init__(self, enabled: bool = True) -> None:
-        for name in FLAG_NAMES:
-            setattr(self, name, enabled)
-
-    def set_all(self, enabled: bool) -> "LinkFlags":
-        for name in FLAG_NAMES:
-            setattr(self, name, enabled)
-        return self
-
-    def to_dict(self) -> dict[str, bool]:
-        return {name: getattr(self, name) for name in FLAG_NAMES}
-
-    def apply(self, **flags: bool) -> "LinkFlags":
-        for name, value in flags.items():
-            if name not in FLAG_NAMES:
-                raise ValueError(f"unknown link flag {name!r}")
-            setattr(self, name, value)
-        return self
-
-
-#: Consulted on every scheduled send; both switches default to on, but
-#: nothing batches until a transport is given a scheduler.
-FLAGS = LinkFlags(enabled=True)
-
-
-@contextmanager
-def flags(**overrides: bool):
-    """Temporarily override link switches (``all=False`` for legacy)."""
-    saved = FLAGS.to_dict()
-    try:
-        base = overrides.pop("all", None)
-        if base is not None:
-            FLAGS.set_all(bool(base))
-        FLAGS.apply(**overrides)
-        yield FLAGS
-    finally:
-        FLAGS.apply(**saved)
-
 
 @dataclass(frozen=True)
 class LinkPolicy:
@@ -212,8 +161,6 @@ class LinkScheduler:
             self._levels[(src, dst)] = level
 
     def link_compression(self, src: str, dst: str) -> int:
-        if not FLAGS.frame_compression:
-            return 0
         return self._levels.get((src, dst), 0)
 
     # -- corking -------------------------------------------------------------

@@ -78,7 +78,7 @@ class SimTransport:
 
     def corked(self):
         """Batch every send inside the context into shared wire units."""
-        if self.scheduler is None or not linkq.FLAGS.frame_batching:
+        if self.scheduler is None:
             return nullcontext()
         return self.scheduler.corked()
 
@@ -157,7 +157,7 @@ class SimTransport:
 
     def send(self, src: str, dst: str, payload: bytes) -> bool:
         scheduler = self.scheduler
-        if scheduler is None or not linkq.FLAGS.frame_batching:
+        if scheduler is None:
             return self.network.send(src, dst, payload)
         if not self.network.is_registered(dst):
             raise NetworkError(f"no endpoint registered at {dst!r}")
@@ -168,7 +168,7 @@ class SimTransport:
                                  coalesce=self.network.op_depth > 0)
 
     def request(self, src: str, dst: str, payload: bytes) -> bytes:
-        if self.scheduler is not None and linkq.FLAGS.frame_batching:
+        if self.scheduler is not None:
             # Ordering barrier: datagrams queued to this link must hit
             # the wire before the request does.
             self.scheduler.flush_link(src, dst)

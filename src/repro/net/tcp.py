@@ -168,7 +168,7 @@ class TcpTransport:
 
     def corked(self):
         """Batch every send inside the context into shared wire units."""
-        if self.scheduler is None or not linkq.FLAGS.frame_batching:
+        if self.scheduler is None:
             return nullcontext()
         return self.scheduler.corked()
 
@@ -476,7 +476,7 @@ class TcpTransport:
             return False
         src, dst, payload = out.src, out.dst, out.payload
         scheduler = self.scheduler
-        if scheduler is None or not linkq.FLAGS.frame_batching:
+        if scheduler is None:
             return self._wire_send(src, dst, framing.KIND_DATA, payload)
         # coalesce=None: the idle heuristic — a quiet link flushes this
         # frame immediately, a busy one queues behind the adaptive timer.
@@ -491,7 +491,7 @@ class TcpTransport:
         if out is None or out.dst not in self._directory:
             raise NetworkError(f"request from {src!r} to {dst!r} was dropped")
         dst, payload = out.dst, out.payload
-        if self.scheduler is not None and linkq.FLAGS.frame_batching:
+        if self.scheduler is not None:
             # Ordering barrier: datagrams queued to this link must hit
             # the wire before the request does.
             self.scheduler.flush_link(src, dst)

@@ -1,8 +1,7 @@
 """Counters, gauges and histogram timers behind a process-local registry.
 
 This module is deliberately **zero-dependency** (stdlib only) and imports
-nothing from the rest of ``repro`` except the dependency-free
-:mod:`repro.perf` switch set, so every layer — crypto, simulator,
+nothing from the rest of ``repro``, so every layer — crypto, simulator,
 overlay, secure core — can instrument itself without creating cycles.
 
 Design goals, in order:
@@ -27,8 +26,6 @@ import json
 import math
 import os
 import time
-
-from repro import perf
 
 #: Environment variable that disables the default registry at import time.
 DISABLE_ENV = "REPRO_OBS_DISABLED"
@@ -323,8 +320,7 @@ class InternedCounter:
     every call; hot paths (one or more increments *per frame*) instead
     hold one of these, which caches the :class:`Counter` object and
     re-resolves only when the process registry is swapped (bench/test
-    isolation).  With ``perf.FLAGS.interned_metrics`` off it degrades to
-    exactly the legacy string-keyed path.
+    isolation).
     """
 
     __slots__ = ("name", "_registry", "_counter")
@@ -337,9 +333,6 @@ class InternedCounter:
     def incr(self, by: int = 1) -> None:
         registry = _REGISTRY
         if not registry.enabled:
-            return
-        if not perf.FLAGS.interned_metrics:
-            registry.incr(self.name, by)
             return
         if registry is not self._registry:
             self._counter = registry.counter(self.name)
@@ -360,9 +353,6 @@ class InternedHistogram:
     def observe(self, value: float) -> None:
         registry = _REGISTRY
         if not registry.enabled:
-            return
-        if not perf.FLAGS.interned_metrics:
-            registry.observe(self.name, value)
             return
         if registry is not self._registry:
             self._histogram = registry.histogram(self.name)

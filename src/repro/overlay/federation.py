@@ -40,7 +40,7 @@ import bisect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
-from repro import obs, perf, wire
+from repro import obs, wire
 from repro.crypto.sha2 import sha256
 from repro.errors import JxtaError, NetworkError, OverlayError
 from repro.jxta.advertisements import Advertisement
@@ -136,15 +136,13 @@ class HashRing:
         given key only ever changes when a broker joins or leaves, so
         ``add``/``remove`` are the exact (and only) invalidation points.
         """
-        if perf.FLAGS.ring_memo:
-            cached = self._owner_cache.get(key)
-            if cached is not None:
-                return cached
+        cached = self._owner_cache.get(key)
+        if cached is not None:
+            return cached
         address = self.owner_uncached(key)
-        if perf.FLAGS.ring_memo:
-            if len(self._owner_cache) >= self.OWNER_CACHE_MAX:
-                self._owner_cache.clear()
-            self._owner_cache[key] = address
+        if len(self._owner_cache) >= self.OWNER_CACHE_MAX:
+            self._owner_cache.clear()
+        self._owner_cache[key] = address
         return address
 
     def owner_uncached(self, key: str) -> str:

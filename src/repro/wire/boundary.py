@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from repro import obs, perf
+from repro import obs
 from repro.jxta.messages import Message
 from repro.wire import catalogue
 from repro.wire.schema import (
@@ -72,10 +72,7 @@ def decode(message: Message) -> DecodedFrame:
     spec = catalogue.get(message.msg_type)
     if spec is None:
         raise WireRejected(message.msg_type, REASON_UNKNOWN_TYPE)
-    if perf.FLAGS.compiled_decoders:
-        view = spec.compiled()(message)
-    else:
-        view = spec.decode(message)
+    view = spec.compiled()(message)
     message._decoded = view
     return view
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.baselines import CbjxEchoPair, TlsClientDriver, TlsEchoServer
+from repro.bench.tls_cbjx import CbjxEchoPair, TlsClientDriver, TlsEchoServer
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import TransportError
 from repro.sim import SimNetwork, VirtualClock

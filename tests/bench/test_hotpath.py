@@ -1,4 +1,4 @@
-"""E-HOTPATH harness: stage timings, the A/B probe, gates and tables."""
+"""E-HOTPATH harness: the layer ladder, its work-count gate and tables."""
 
 from __future__ import annotations
 
@@ -10,60 +10,32 @@ import pytest
 from repro.bench import profile
 
 
-def _tiny_document(speedup: float = 2.5, all_passed: bool = True) -> dict:
+def _per_msg(**overrides: float) -> dict:
+    counts = {key: 0.0 for key in profile.WORK_COUNTS}
+    counts.update(frames=1.0, bytes=440.0)
+    counts.update(overrides)
+    return counts
+
+
+def _tiny_document(resumed_ms: float = 5.0, all_passed: bool = True,
+                   **resumed_counts: float) -> dict:
     """A synthetic BENCH_HOTPATH document for gate/table unit tests."""
     return {
         "experiment": "E-HOTPATH",
-        "speedup_target": profile.HOTPATH_SPEEDUP_TARGET,
-        "steady_state": {
-            "legacy": {"msgs_per_sec": 100.0, "ms_per_msg": 10.0,
-                       "messages": 5, "delivered": 5},
-            "optimized": {"msgs_per_sec": 100.0 * speedup,
-                          "ms_per_msg": 10.0 / speedup,
-                          "messages": 5, "delivered": 5},
-            "speedup": speedup,
-        },
         "layers": [
             {"layer": "plain", "msgs_per_sec": 1000.0, "ms_per_msg": 1.0,
-             "x_vs_plain": 1.0, "messages": 5, "delivered": 5},
-            {"layer": "+secure resumed", "msgs_per_sec": 200.0,
-             "ms_per_msg": 5.0, "x_vs_plain": 5.0,
-             "messages": 5, "delivered": 5},
+             "x_vs_plain": 1.0, "messages": 5, "delivered": 5,
+             "per_msg": _per_msg()},
+            {"layer": "+secure resumed", "msgs_per_sec": 1e3 / resumed_ms,
+             "ms_per_msg": resumed_ms, "x_vs_plain": resumed_ms,
+             "messages": 5, "delivered": 5,
+             "per_msg": _per_msg(**{"bytes": 765.0, "resume_seal": 1.0,
+                                    "resume_open": 1.0, **resumed_counts})},
         ],
-        "checks": {"all_passed": all_passed,
-                   "speedup_at_least_2x": all_passed},
+        "checks": {"all_delivered": all_passed,
+                   "resumed_zero_rsa": True,
+                   "all_passed": all_passed},
     }
-
-
-class TestStages:
-    def test_stage_report_shape(self):
-        stages = profile.stage_report(repeats=40)
-        names = [row["stage"] for row in stages]
-        assert len(names) == len(set(names))
-        for row in stages:
-            assert row["flag"] in (
-                "wire_cache", "compiled_decoders", "ring_memo",
-                "interned_metrics", "chacha_vector")
-            assert row["legacy_us"] > 0
-            assert row["optimized_us"] > 0
-            assert row["speedup"] > 0
-
-    def test_stage_report_covers_every_layer(self):
-        stages = {row["stage"] for row in profile.stage_report(repeats=20)}
-        for fragment in ("codec", "wire boundary", "ring", "obs counter",
-                         "chacha20", "resume", "envelope"):
-            assert any(fragment in stage for stage in stages), fragment
-
-
-class TestSteadyState:
-    def test_ab_probe_structure_and_delivery(self):
-        steady = profile.steady_state_ab(messages=6)
-        for mode in ("legacy", "optimized"):
-            stats = steady[mode]
-            assert stats["delivered"] == stats["messages"] == 6
-            assert stats["msgs_per_sec"] > 0
-            assert stats["resumed_frames"] >= 6
-        assert steady["speedup"] > 0
 
 
 class TestLayerLadder:
@@ -78,22 +50,47 @@ class TestLayerLadder:
         # security dominates the ladder: secure rows cost multiples of plain
         assert rows[3]["x_vs_plain"] > 2.0
 
+    def test_work_counts_per_message(self):
+        rows = {row["layer"]: row["per_msg"]
+                for row in profile.layer_ladder(messages=4)}
+        for per_msg in rows.values():
+            assert per_msg["frames"] == 1
+        stateless, resumed = rows["+secure (stateless)"], rows["+secure resumed"]
+        assert (stateless["rsa_private"], stateless["rsa_public"],
+                stateless["rsa_verify"]) == (2, 1, 1)
+        assert stateless["envelope_seal"] == stateless["envelope_open"] == 1
+        assert resumed["rsa_private"] == resumed["rsa_public"] \
+            == resumed["rsa_verify"] == 0
+        assert resumed["resume_seal"] == resumed["resume_open"] == 1
+        assert resumed["bytes"] > rows["plain"]["bytes"]
+
 
 class TestRegressionGate:
     def test_equal_runs_pass(self):
         doc = _tiny_document()
         assert profile.check_regression(doc, doc) == []
 
-    def test_regressed_speedup_fails(self):
-        baseline = _tiny_document(speedup=2.5)
-        fresh = _tiny_document(speedup=2.5 * 0.7)  # 30% drop > 20% tolerance
+    def test_extra_rsa_op_fails(self):
+        baseline = _tiny_document()
+        fresh = _tiny_document(rsa_private=1.0)
         problems = profile.check_regression(fresh, baseline)
-        assert any("regressed" in p for p in problems)
+        assert any("rsa_private" in p for p in problems)
 
     def test_drop_within_tolerance_passes(self):
-        baseline = _tiny_document(speedup=2.5)
-        fresh = _tiny_document(speedup=2.5 * 0.85)  # 15% drop
+        # wall clock is not gated; bytes may grow within the tolerance
+        baseline = _tiny_document(resumed_ms=5.0)
+        fresh = _tiny_document(resumed_ms=50.0, bytes=765.0 * 1.15)
         assert profile.check_regression(fresh, baseline) == []
+        fresh = _tiny_document(bytes=765.0 * 1.3)
+        assert any("bytes" in p
+                   for p in profile.check_regression(fresh, baseline))
+
+    def test_missing_layer_fails(self):
+        baseline = _tiny_document()
+        fresh = _tiny_document()
+        fresh["layers"].pop()
+        problems = profile.check_regression(fresh, baseline)
+        assert any("missing" in p for p in problems)
 
     def test_failed_checks_fail_the_gate(self):
         doc = _tiny_document(all_passed=False)
@@ -103,10 +100,10 @@ class TestRegressionGate:
     def test_gate_cli(self, tmp_path):
         fresh = tmp_path / "fresh.json"
         base = tmp_path / "base.json"
-        fresh.write_text(json.dumps(_tiny_document(2.4)))
-        base.write_text(json.dumps(_tiny_document(2.5)))
+        fresh.write_text(json.dumps(_tiny_document(resumed_ms=9.0)))
+        base.write_text(json.dumps(_tiny_document()))
         assert profile.gate(str(fresh), str(base)) == 0
-        fresh.write_text(json.dumps(_tiny_document(1.5)))
+        fresh.write_text(json.dumps(_tiny_document(frames=2.0)))
         assert profile.gate(str(fresh), str(base)) == 1
         assert profile.gate(str(tmp_path / "missing.json"), str(base)) == 2
 
@@ -127,7 +124,7 @@ class TestLayerTableDocs:
             f"# perf\n\n{profile.BEGIN_MARK}\n{table}{profile.END_MARK}\n")
         assert profile.check_docs(str(doc), str(baseline)) == 0
         # drift the baseline -> the embedded table no longer matches
-        baseline.write_text(json.dumps(_tiny_document(speedup=3.0)))
+        baseline.write_text(json.dumps(_tiny_document(resumed_ms=3.0)))
         assert profile.check_docs(str(doc), str(baseline)) == 1
         # no marker section at all
         doc.write_text("# perf, no markers\n")
@@ -135,7 +132,7 @@ class TestLayerTableDocs:
 
     def test_update_docs_rewrites_section(self, tmp_path):
         baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(_tiny_document(speedup=3.0)))
+        baseline.write_text(json.dumps(_tiny_document(resumed_ms=3.0)))
         doc = tmp_path / "PERF.md"
         doc.write_text(f"intro\n{profile.BEGIN_MARK}\nstale\n"
                        f"{profile.END_MARK}\noutro\n")
@@ -154,8 +151,6 @@ class TestCommittedArtifacts:
         baseline = json.loads(
             (self.REPO / profile.BASELINE_PATH).read_text(encoding="utf-8"))
         assert baseline["checks"]["all_passed"]
-        assert baseline["steady_state"]["speedup"] \
-            >= profile.HOTPATH_SPEEDUP_TARGET
 
     def test_performance_doc_matches_committed_baseline(self):
         assert profile.check_docs(

@@ -124,21 +124,22 @@ class TestEndToEndRevocation:
         """Validation cache must not shield a freshly revoked peer.
 
         Revoke WITHOUT disconnecting so bob's advertisement stays in
-        alice's cache: the rejection must come from the validator's
-        revocation check on the cache-hit path.  The validator digest
-        cache is exercised with the pipe-validation memo disabled so
-        cache hits land there rather than in the memo above it."""
-        from repro import perf
-
+        alice's cache: once the revocation arrives, validating it again
+        must be refused.  Sends hit the validated-pipe memo above the
+        validator, so the validator's digest cache is driven directly on
+        bob's signed pipe element."""
         w = joined_secure_world
-        with perf.flags(pipe_validation_memo=False):
-            for i in range(3):  # warm alice's validation cache on bob
-                w.alice.secure_msg_peer(str(w.bob.peer_id), "students", f"m{i}")
-            assert w.alice.validator.cache_hits > 0
-            w.broker.revocations.revoke(str(w.bob.peer_id))
-            w.broker.publish_revocations()
-            with pytest.raises(RevokedCredentialError):
-                w.alice.secure_msg_peer(str(w.bob.peer_id), "students", "cached?")
+        bob = str(w.bob.peer_id)
+        w.alice.secure_msg_peer(bob, "students", "m0")  # caches bob's pipe
+        element = w.alice._resolve_pipe(bob, "students")
+        validator = w.alice.validator
+        for _ in range(3):  # warm alice's validation cache on bob
+            validator.validate(element, w.alice.clock.now)
+        assert validator.cache_hits > 0
+        w.broker.revocations.revoke(bob)
+        w.broker.publish_revocations()
+        with pytest.raises(RevokedCredentialError):
+            validator.validate(element, w.alice.clock.now)
 
     def test_revocation_respects_pipe_memo(self, joined_secure_world):
         """The validated-pipe memo must not shield a revoked peer either.

@@ -161,13 +161,15 @@ class TestEndToEnd:
                    for e in w.bob.events.events_named("message_rejected"))
 
     def test_adv_validation_cached_across_messages(self, joined_secure_world):
-        from repro import perf
-
+        """The validator's digest cache answers repeat validations of the
+        same signed pipe element (sends reach it through the memo)."""
         w = joined_secure_world
-        with perf.flags(pipe_validation_memo=False):
-            for i in range(3):
-                w.alice.secure_msg_peer(str(w.bob.peer_id), "students", f"m{i}")
-            assert w.alice.validator.cache_hits >= 2
+        bob = str(w.bob.peer_id)
+        w.alice.secure_msg_peer(bob, "students", "m0")  # caches bob's pipe
+        element = w.alice._resolve_pipe(bob, "students")
+        for _ in range(3):
+            w.alice.validator.validate(element, w.alice.clock.now)
+        assert w.alice.validator.cache_hits >= 2
 
     def test_adv_validation_memoized_across_messages(self, joined_secure_world):
         """With the pipe memo on (default), repeat sends skip the validator."""

