@@ -6,8 +6,9 @@
 * **A1-A4** — the DESIGN.md ablations.
 
 ``python -m repro.bench`` (or ``examples/overhead_study.py``) prints the
-full report; ``benchmarks/`` wraps the same functions in pytest-benchmark
-targets.
+full report, and ``python -m repro.bench --experiment NAME`` runs one
+entry of the experiment table in :mod:`repro.bench.harness`;
+``benchmarks/`` wraps the same functions in pytest-benchmark targets.
 """
 
 from repro.bench.faults import (
@@ -16,7 +17,6 @@ from repro.bench.faults import (
     fault_loss_sweep,
     fault_report,
     format_fault_report,
-    write_bench_fault,
 )
 from repro.bench.federation import (
     BROKER_COUNTS,
@@ -24,33 +24,26 @@ from repro.bench.federation import (
     fed_report,
     format_fed,
     secure_reject_probe,
-    write_bench_fed,
 )
 from repro.bench.msgfast import (
     GROUP_SIZES,
     RATE_COUNTS,
     format_msgfast,
     msgfast_report,
-    write_bench_msgfast,
 )
 from repro.bench.profile import (
-    REGRESSION_TOLERANCE,
     format_hotpath,
     hotpath_report,
     layer_ladder,
     render_layer_table,
-    write_bench_hotpath,
 )
 from repro.bench.group import (
     format_group,
     group_report,
-    write_bench_group,
 )
 from repro.bench.scale import (
-    check_scale_regression,
     format_scale,
     scale_report,
-    write_bench_scale,
 )
 from repro.bench.experiments import (
     OBS_PRIMITIVES,
@@ -63,6 +56,7 @@ from repro.bench.experiments import (
     obs_snapshot_report,
     policy_ablation,
 )
+from repro.bench.paths import write_bench
 from repro.bench.report import (
     format_baselines,
     format_group_scaling,
@@ -70,7 +64,6 @@ from repro.bench.report import (
     format_msg_overhead,
     format_obs,
     format_policy_ablation,
-    write_bench_obs,
 )
 
 __all__ = [
@@ -79,33 +72,25 @@ __all__ = [
     "fed_report",
     "format_fed",
     "secure_reject_probe",
-    "write_bench_fed",
     "GROUP_SIZES",
     "LOSS_RATES",
     "RATE_COUNTS",
-    "REGRESSION_TOLERANCE",
     "format_hotpath",
     "hotpath_report",
     "layer_ladder",
     "render_layer_table",
-    "write_bench_hotpath",
     "format_msgfast",
     "msgfast_report",
-    "write_bench_msgfast",
     "format_group",
     "group_report",
-    "write_bench_group",
-    "check_scale_regression",
     "format_scale",
     "scale_report",
-    "write_bench_scale",
     "OBS_PRIMITIVES",
     "PAPER_JOIN_OVERHEAD_PCT",
     "crash_recovery_scenario",
     "fault_loss_sweep",
     "fault_report",
     "format_fault_report",
-    "write_bench_fault",
     "join_overhead",
     "msg_overhead_curve",
     "group_scaling",
@@ -119,5 +104,5 @@ __all__ = [
     "format_baselines",
     "format_obs",
     "format_policy_ablation",
-    "write_bench_obs",
+    "write_bench",
 ]

@@ -1,149 +1,78 @@
-"""``python -m repro.bench``: run every experiment and print the report.
+"""``python -m repro.bench``: the one command line of the bench harness.
 
-``--experiment NAME`` runs one named experiment (see
-:data:`EXPERIMENTS`) and writes its ``BENCH_<NAME>.json``, exiting
-nonzero if the experiment's acceptance checks fail; ``--quick`` shrinks
-every experiment for CI smoke runs.
+With no option it runs the paper's section 5 evaluation (E1, E2 and
+Figure 2, the A2-A4 ablations, E-OBS) and prints the report.
 
-* ``fault`` — E-FAULT: fault-injection sweep + broker-crash recovery,
-  ``BENCH_FAULT.json``.
-* ``msgfast`` — E-MSGFAST: secure-messaging fast-path sweeps,
-  ``BENCH_MSGFAST.json``.
-* ``fed`` — E-FED: sharded-federation sweep, ``BENCH_FED.json``.
-* ``group`` — E-GROUP: broker-mediated group cast vs the iterated
-  fan-out (O(1) sender cost, relay amplification), ``BENCH_GROUP.json``.
-* ``hotpath`` — E-HOTPATH: the layer-cost ladder with per-message work
-  counts, ``BENCH_HOTPATH.json``.
-* ``scale`` — E-SCALE: the scenario-engine population experiment
-  (churn storm + Sybil flood + eclipse + frame storm over an 8-broker
-  ring), ``BENCH_SCALE.json``.
+``--experiment NAME`` runs one entry of :data:`EXPERIMENTS` instead
+(``fault``, ``fed``, ``group``, ``hotpath``, ``msgfast``, ``scale``),
+writes ``benchmarks/out/BENCH_<NAME>.json`` and exits 1 if the
+document's own acceptance checks fail.  ``--gate`` also compares the
+document with the committed ``benchmarks/baselines/BENCH_<NAME>.json``
+on the experiment's declared rows (:mod:`repro.bench.harness`); exit 2
+means there is no baseline to compare with.  ``--quick`` shrinks every
+run for CI smoke runs.
+
+``--check-docs`` / ``--update-docs`` verify or regenerate the layer-cost
+table in ``docs/PERFORMANCE.md`` from the committed E-HOTPATH baseline;
+``--cprofile [N]`` profiles N steady-state resumed sends.
 """
 
 from __future__ import annotations
 
+import argparse
 import sys
 
 from repro.bench import (
     baseline_comparison,
-    fault_report,
-    fed_report,
-    format_fed,
-    format_group,
     format_baselines,
-    format_fault_report,
     format_group_scaling,
-    format_hotpath,
     format_join_overhead,
     format_msg_overhead,
-    format_msgfast,
     format_obs,
     format_policy_ablation,
-    format_scale,
-    group_report,
     group_scaling,
-    hotpath_report,
     join_overhead,
     msg_overhead_curve,
-    msgfast_report,
     obs_bench,
     policy_ablation,
-    scale_report,
-    write_bench_fault,
-    write_bench_fed,
-    write_bench_group,
-    write_bench_hotpath,
-    write_bench_msgfast,
-    write_bench_obs,
-    write_bench_scale,
+    profile,
+    write_bench,
 )
+from repro.bench.figures import render_figure2
+from repro.bench.harness import EXPERIMENTS, gate
 
 
-def run_fault(quick: bool) -> int:
-    data = fault_report(messages=30 if quick else 100)
-    print(format_fault_report(data))
-    out = write_bench_fault(data)
+def run_experiment(name: str, quick: bool, gated: bool) -> int:
+    """Run one table entry, write its document and gate it."""
+    experiment = EXPERIMENTS.get(name)
+    if experiment is None:
+        known = ", ".join(sorted(EXPERIMENTS))
+        print(f"unknown experiment {name!r}; known: {known}", file=sys.stderr)
+        return 2
+    if gated and not experiment.rows:
+        gated_names = ", ".join(sorted(n for n, e in EXPERIMENTS.items()
+                                       if e.rows))
+        print(f"experiment {name!r} has no committed baseline, so --gate has "
+              f"nothing to compare; gated experiments: {gated_names}",
+              file=sys.stderr)
+        return 2
+    data = experiment.report(quick)
+    print(experiment.format(data))
+    out = write_bench(name, data)
     print(f"  wrote {out}")
-    return 0
-
-
-def run_fed(quick: bool) -> int:
-    data = fed_report(quick=quick)
-    print(format_fed(data))
-    out = write_bench_fed(data)
-    print(f"  wrote {out}")
+    if gated:
+        return gate(name, out)
     return 0 if data["checks"]["all_passed"] else 1
 
 
-def run_msgfast(quick: bool) -> int:
-    data = msgfast_report(quick=quick)
-    print(format_msgfast(data))
-    out = write_bench_msgfast(data)
-    print(f"  wrote {out}")
-    return 0 if data["checks"]["all_passed"] else 1
-
-
-def run_group(quick: bool) -> int:
-    data = group_report(quick=quick)
-    print(format_group(data))
-    out = write_bench_group(data)
-    print(f"  wrote {out}")
-    return 0 if data["checks"]["all_passed"] else 1
-
-
-def run_scale(quick: bool) -> int:
-    data = scale_report(quick=quick)
-    print(format_scale(data))
-    out = write_bench_scale(data)
-    print(f"  wrote {out}")
-    return 0 if data["checks"]["all_passed"] else 1
-
-
-def run_hotpath(quick: bool) -> int:
-    data = hotpath_report(quick=quick)
-    print(format_hotpath(data))
-    out = write_bench_hotpath(data)
-    print(f"  wrote {out}")
-    return 0 if data["checks"]["all_passed"] else 1
-
-
-#: ``--experiment`` name -> runner.  The README quickstart lists these
-#: names; ``tests/bench/test_experiment_registry.py`` keeps the two in
-#: sync (same drift-gate idea as the PROTOCOLS.md frame catalogue).
-EXPERIMENTS = {
-    "fault": run_fault,
-    "fed": run_fed,
-    "group": run_group,
-    "hotpath": run_hotpath,
-    "msgfast": run_msgfast,
-    "scale": run_scale,
-}
-
-
-def main(argv: list[str]) -> int:
-    quick = "--quick" in argv
-    if "--experiment" in argv:
-        at = argv.index("--experiment") + 1
-        if at >= len(argv):
-            known = ", ".join(sorted(EXPERIMENTS))
-            print(f"--experiment needs a name; known: {known}",
-                  file=sys.stderr)
-            return 2
-        which = argv[at]
-        runner = EXPERIMENTS.get(which)
-        if runner is None:
-            known = ", ".join(sorted(EXPERIMENTS))
-            print(f"unknown experiment {which!r}; known: {known}",
-                  file=sys.stderr)
-            return 2
-        return runner(quick)
+def run_evaluation(quick: bool) -> int:
+    """The paper's section 5 report, plus ``BENCH_OBS.json``."""
     print(format_join_overhead(join_overhead(repeats=2 if quick else 3)))
     print()
     sizes = (100, 1_000, 10_000, 100_000) if quick else (100, 1_000, 10_000, 100_000, 1_000_000)
     curve = msg_overhead_curve(sizes=sizes, repeats=2 if quick else 3)
     print(format_msg_overhead(curve))
     print()
-    from repro.bench.figures import render_figure2
-
     print(render_figure2(curve))
     print()
     print(format_group_scaling(group_scaling(group_sizes=(2, 4, 8) if quick else (2, 4, 8, 16))))
@@ -155,10 +84,49 @@ def main(argv: list[str]) -> int:
     print()
     obs_data = obs_bench(repeats=3 if quick else 5)
     print(format_obs(obs_data))
-    out = write_bench_obs(obs_data)
+    out = write_bench("obs", obs_data)
     print(f"  wrote {out}")
     return 0
 
 
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench",
+        description="The paper's section 5 evaluation and the named "
+                    "bench experiments.")
+    action = parser.add_mutually_exclusive_group()
+    action.add_argument("--experiment", metavar="NAME",
+                        help="run one experiment: "
+                             + ", ".join(sorted(EXPERIMENTS)))
+    action.add_argument("--check-docs", nargs="?", const=profile.PERFORMANCE_DOC,
+                        metavar="DOC",
+                        help="verify the generated layer table in DOC "
+                             "against the committed hotpath baseline")
+    action.add_argument("--update-docs", nargs="?", const=profile.PERFORMANCE_DOC,
+                        metavar="DOC",
+                        help="rewrite the generated layer table in DOC from "
+                             "the committed hotpath baseline")
+    action.add_argument("--cprofile", nargs="?", const=300, type=int,
+                        metavar="N",
+                        help="profile N steady-state resumed sends")
+    parser.add_argument("--quick", action="store_true",
+                        help="shrink every run for CI smoke runs")
+    parser.add_argument("--gate", action="store_true",
+                        help="with --experiment: also compare against "
+                             "benchmarks/baselines/BENCH_<NAME>.json")
+    args = parser.parse_args(argv)
+    if args.gate and args.experiment is None:
+        parser.error("--gate needs --experiment")
+    if args.experiment is not None:
+        return run_experiment(args.experiment, args.quick, args.gate)
+    if args.check_docs:
+        return profile.check_docs(args.check_docs)
+    if args.update_docs:
+        return profile.update_docs(args.update_docs)
+    if args.cprofile:
+        return profile.run_cprofile(args.cprofile)
+    return run_evaluation(args.quick)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main(sys.argv[1:]))
+    raise SystemExit(main())

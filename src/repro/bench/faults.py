@@ -16,19 +16,20 @@ Two parts, both deterministic under the sim RNG:
   re-establishes transparently: secureConnection (fresh sid) +
   secureLogin, then the original request is re-sent and succeeds.
 
-``python -m repro.bench --experiment fault`` prints the report and
-writes ``BENCH_FAULT.json``.
+``python -m repro.bench --experiment fault`` prints the report, writes
+``BENCH_FAULT.json`` and exits nonzero if an acceptance check fails:
+every 0%-loss cell delivers every message, retries never deliver fewer
+messages than the same cell without them, and the crashed session
+recovers on a fresh sid.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from repro import obs
-from repro.bench.paths import bench_out_path
 from repro.bench.fixtures import build_plain_world, build_secure_world, join_plain
+from repro.bench.report import format_checks
 from repro.overlay.policy import NO_RETRY, RetryPolicy
 from repro.sim.faults import BrokerCrash, FaultPlan, FrameLoss
 
@@ -148,10 +149,36 @@ def crash_recovery_scenario() -> dict:
     }
 
 
-def fault_report(messages: int = 100) -> dict:
-    """The complete E-FAULT document."""
+def _checks(cells: list[LossCell], crash: dict) -> dict:
+    """The acceptance checks (the exit code mirrors ``all_passed``).
+
+    Retries need not deliver everything: at 20% loss a 4-attempt policy
+    still loses a message now and then, so the check is only that they
+    never deliver fewer than the same cell without them.
+    """
+    without = {(c.variant, c.loss): c.delivered for c in cells if not c.retries}
+    checks = {
+        "lossless_delivers_all": all(
+            c.delivered == c.sent for c in cells if c.loss == 0.0),
+        "retries_never_deliver_fewer": all(
+            c.delivered >= without[(c.variant, c.loss)]
+            for c in cells if c.retries),
+        "crash_recovered_on_fresh_sid": (
+            crash["recovered"]
+            and crash["fresh_sids_issued_for_recovery"] >= 1),
+    }
+    checks["all_passed"] = all(checks.values())
+    return checks
+
+
+def fault_report(quick: bool = False) -> dict:
+    """The complete E-FAULT document (30 messages per cell when quick)."""
+    messages = 30 if quick else 100
+    cells = fault_loss_sweep(messages)
+    crash = crash_recovery_scenario()
     return {
         "experiment": "E-FAULT",
+        "quick": quick,
         "messages_per_cell": messages,
         "retry_policy": {
             "max_attempts": SWEEP_RETRY.max_attempts,
@@ -159,8 +186,9 @@ def fault_report(messages: int = 100) -> dict:
             "multiplier": SWEEP_RETRY.multiplier,
             "jitter": SWEEP_RETRY.jitter,
         },
-        "loss_sweep": [asdict(c) for c in fault_loss_sweep(messages)],
-        "crash_recovery": crash_recovery_scenario(),
+        "loss_sweep": [asdict(c) for c in cells],
+        "crash_recovery": crash,
+        "checks": _checks(cells, crash),
     }
 
 
@@ -187,12 +215,5 @@ def format_fault_report(data: dict) -> str:
     ]
     for reason in crash["degradation_events"]:
         lines.append(f"    - {reason}")
+    lines += ["", *format_checks("E-FAULT", data["checks"])]
     return "\n".join(lines)
-
-
-def write_bench_fault(data: dict, path: str | Path | None = None) -> Path:
-    """Persist the E-FAULT document as machine-readable JSON."""
-    out = Path(path) if path is not None else bench_out_path("BENCH_FAULT.json")
-    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    return out

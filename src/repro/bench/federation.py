@@ -26,14 +26,12 @@ stack, both with counted ``fed.reject.*`` metrics.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from repro import obs
-from repro.bench.paths import bench_out_path
 from repro.bench.fixtures import build_secure_world, fresh_network
 from repro.bench.msgfast import _restore_registry, _swap_registry, bench_policy
+from repro.bench.report import format_checks
 from repro.crypto.drbg import HmacDrbg
 from repro.jxta.advertisements import FileAdvertisement
 from repro.jxta.messages import Message
@@ -289,25 +287,12 @@ def format_fed(data: dict) -> str:
             f"{cell['relink_entries_sent']:>9}  "
             f"{'stuck' if heal is None else f'{heal:>7.1f}'}")
     rejects = data["rejects"]
-    checks = data["checks"]
     lines += [
         "",
         f"  rogue frames: {rejects['unsigned_rejections']} unsigned + "
         f"{rejects['foreign_rejections']} foreign rejected, forged adv "
         f"indexed: {rejects['forged_adv_indexed']}",
         "",
-        "E-FED acceptance checks:",
+        *format_checks("E-FED", data["checks"]),
     ]
-    for key, value in sorted(checks.items()):
-        if key != "all_passed":
-            lines.append(f"  {key:<34} : {value}")
-    lines.append(f"  {'all_passed':<34} : {checks['all_passed']}")
     return "\n".join(lines)
-
-
-def write_bench_fed(data: dict, path: str | Path | None = None) -> Path:
-    """Persist the E-FED document as machine-readable JSON."""
-    out = Path(path) if path is not None else bench_out_path("BENCH_FED.json")
-    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    return out

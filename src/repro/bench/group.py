@@ -30,22 +30,19 @@ decryption is skipped.
 
 ``python -m repro.bench --experiment group`` prints the report and
 writes ``BENCH_GROUP.json`` (under ``benchmarks/out/``), exiting nonzero
-if an acceptance check fails.  ``python -m repro.bench.group --gate
-FRESH [BASELINE]`` compares the deterministic quantities (frames and
-bytes per cast, deliveries, relay amplification) against the committed
-``benchmarks/baselines/BENCH_GROUP.json`` with a 20% tolerance.
+if an acceptance check fails.  With ``--gate`` it also compares the
+deterministic quantities (frames, bytes and RSA ops per cast with a 20%
+tolerance; deliveries and relay amplification exactly) against the
+committed ``benchmarks/baselines/BENCH_GROUP.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from repro.bench import fixtures
 from repro.bench.msgfast import _restore_registry, _swap_registry
-from repro.bench.paths import bench_out_path
+from repro.bench.report import format_checks
 from repro.bench.timing import timed_call
 from repro.core.policy import SecurityPolicy
 from repro.crypto import envelope, signing
@@ -72,9 +69,6 @@ MESSAGES = 3
 
 #: the O(1) acceptance pair: sender cost at 10 must equal cost at 10k
 CHECK_SPAN = (10, 10_000)
-
-BASELINE_PATH = "benchmarks/baselines/BENCH_GROUP.json"
-TOLERANCE = 0.20
 
 GROUP = "bench-cast"
 
@@ -340,96 +334,5 @@ def format_group(data: dict) -> str:
         lines.append(
             f"  {c['group_size']:>8}  {c['sender_frames_per_cast']:>7.1f}  "
             f"{c['rsa_ops_per_cast']:>5.1f}  {c['mean_ms_per_cast']:>9.2f}")
-    lines += ["", "E-GROUP acceptance checks:"]
-    checks = data["checks"]
-    for key, value in sorted(checks.items()):
-        if key != "all_passed":
-            lines.append(f"  {key:<30} : {value}")
-    lines.append(f"  {'all_passed':<30} : {checks['all_passed']}")
+    lines += ["", *format_checks("E-GROUP", data["checks"])]
     return "\n".join(lines)
-
-
-def write_bench_group(data: dict, path: str | Path | None = None) -> Path:
-    """Persist the E-GROUP document as machine-readable JSON."""
-    out = Path(path) if path is not None else bench_out_path("BENCH_GROUP.json")
-    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    return out
-
-
-# -- CI regression gate ----------------------------------------------------
-
-
-def check_group_regression(fresh: dict, baseline: dict,
-                           tolerance: float = TOLERANCE) -> list[str]:
-    """Problems (empty = pass) comparing fresh numbers to the baseline.
-
-    Only deterministic count quantities are gated — frames, bytes,
-    deliveries, relay amplification; virtual latency stays informational
-    (it includes a measured-CPU term).
-    """
-    problems: list[str] = []
-    for sweep in ("size_sweep", "broker_sweep"):
-        fresh_cells = {(c["group_size"], c["brokers"]): c
-                       for c in fresh.get(sweep, ())}
-        base_cells = {(c["group_size"], c["brokers"]): c
-                      for c in baseline.get(sweep, ())}
-        if not base_cells:
-            problems.append(f"baseline document has no {sweep} section")
-            continue
-        for key, base in sorted(base_cells.items()):
-            cell = fresh_cells.get(key)
-            label = f"{sweep}[{key[0]} members/{key[1]} brokers]"
-            if cell is None:
-                problems.append(f"{label}: missing from fresh run")
-                continue
-            for quantity in ("sender_frames_per_cast", "sender_bytes_per_cast",
-                             "rsa_ops_per_cast"):
-                ceiling = base[quantity] * (1.0 + tolerance)
-                if cell[quantity] > ceiling:
-                    problems.append(
-                        f"{label}: {quantity} regressed "
-                        f"{cell[quantity]:.1f} > {ceiling:.1f} "
-                        f"(baseline {base[quantity]:.1f})")
-            for quantity in ("delivered_per_cast", "relayed_per_cast"):
-                if cell[quantity] != base[quantity]:
-                    problems.append(
-                        f"{label}: {quantity} changed "
-                        f"{cell[quantity]:.1f} != {base[quantity]:.1f}")
-    if not fresh["checks"]["all_passed"]:
-        failed = [k for k, v in fresh["checks"].items()
-                  if isinstance(v, bool) and not v]
-        problems.append(f"fresh run failed its own checks: {failed}")
-    return problems
-
-
-def gate(fresh_path: str, baseline_path: str = BASELINE_PATH,
-         tolerance: float = TOLERANCE) -> int:
-    try:
-        fresh = json.loads(Path(fresh_path).read_text(encoding="utf-8"))
-        baseline = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        print(f"group gate: cannot load inputs: {exc}")
-        return 2
-    problems = check_group_regression(fresh, baseline, tolerance)
-    for problem in problems:
-        print(f"group gate: FAIL: {problem}")
-    if not problems:
-        print("group gate: pass")
-    return 1 if problems else 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.group",
-        description="E-GROUP broker-mediated fan-out regression gate")
-    parser.add_argument("--gate", nargs="+", metavar="JSON", required=True,
-                        help="compare FRESH [BASELINE] group documents; "
-                             f"baseline defaults to {BASELINE_PATH}")
-    args = parser.parse_args(argv)
-    baseline = args.gate[1] if len(args.gate) > 1 else BASELINE_PATH
-    return gate(args.gate[0], baseline)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    raise SystemExit(main())

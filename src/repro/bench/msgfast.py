@@ -27,23 +27,19 @@ sends — world setup, joins and advertisement exchange are excluded.
 
 ``python -m repro.bench --experiment msgfast`` prints the report, writes
 ``BENCH_MSGFAST.json`` and exits nonzero if any acceptance check fails
-(CI runs the ``--quick`` variant and relies on that exit code).
-``python -m repro.bench.msgfast --gate FRESH [BASELINE]`` compares a
-fresh document against the committed
-``benchmarks/baselines/BENCH_MSGFAST.json`` on the deterministic wire
-quantities and fails CI on a >20% regression.
+(CI runs the ``--quick`` variant and relies on that exit code).  With
+``--gate`` it also compares the deterministic wire quantities against
+the committed ``benchmarks/baselines/BENCH_MSGFAST.json`` and fails on
+a >20% regression (the rows live in :mod:`repro.bench.harness`).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 from repro import obs
-from repro.bench.paths import bench_out_path
 from repro.bench import fixtures
+from repro.bench.report import format_checks
 from repro.bench.timing import timed_call
 from repro.core.policy import SecurityPolicy
 from repro.crypto import envelope, signing
@@ -66,10 +62,6 @@ CHECK_GROUP_SIZE = 16
 WIRE_MESSAGES = 64
 WIRE_MODES = ("legacy", "batched", "batched+zlib")
 WIRE_LOADS = ("burst", "trickle")
-
-#: --gate inputs: committed baseline and tolerance on the wire quantities
-WIRE_BASELINE_PATH = "benchmarks/baselines/BENCH_MSGFAST.json"
-WIRE_TOLERANCE = 0.20
 
 #: RSA-op counters snapshotted around every measured send loop
 _RSA_COUNTERS = ("crypto.rsa.private_op", "crypto.rsa.public_op",
@@ -431,117 +423,12 @@ def format_msgfast(data: dict) -> str:
             f"{cell['wire_units']:>6}  {cell['frames_per_unit']:>9.1f}  "
             f"{cell['bytes_on_wire']:>8}  {cell['bytes_per_msg']:>8.1f}")
     steady = data["steady_state"]
-    checks = data["checks"]
     lines += [
         "",
         f"  steady state: {steady['resumed_messages']} resumed sends -> "
         f"{steady['rsa_private_ops']} private / {steady['rsa_public_ops']} "
         f"public / {steady['rsa_verify_ops']} verify RSA ops",
         "",
-        "E-MSGFAST acceptance checks:",
+        *format_checks("E-MSGFAST", data["checks"]),
     ]
-    for key, value in sorted(checks.items()):
-        if key == "all_passed":
-            continue
-        shown = f"{value:.2f}x" if isinstance(value, float) else value
-        lines.append(f"  {key:<34} : {shown}")
-    lines.append(f"  {'all_passed':<34} : {checks['all_passed']}")
     return "\n".join(lines)
-
-
-def write_bench_msgfast(data: dict,
-                        path: str | Path | None = None) -> Path:
-    """Persist the E-MSGFAST document as machine-readable JSON."""
-    out = Path(path) if path is not None else bench_out_path("BENCH_MSGFAST.json")
-    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    return out
-
-
-# -- CI regression gate ----------------------------------------------------
-
-
-def check_wire_regression(fresh: dict, baseline: dict,
-                          tolerance: float = WIRE_TOLERANCE) -> list[str]:
-    """Problems (empty = pass) comparing fresh wire numbers to baseline.
-
-    Only virtual-time quantities are gated — bytes per message, frames
-    per wire unit and the deterministic msgs/sec — so the comparison is
-    machine-independent.  Wall-clock numbers elsewhere in the document
-    stay informational.
-    """
-    problems: list[str] = []
-    fresh_cells = {(c["mode"], c["load"]): c
-                   for c in fresh.get("wire_sweep", ())}
-    base_cells = {(c["mode"], c["load"]): c
-                  for c in baseline.get("wire_sweep", ())}
-    if not base_cells:
-        return ["baseline document has no wire_sweep section"]
-    for key, base in sorted(base_cells.items()):
-        cell = fresh_cells.get(key)
-        label = "/".join(key)
-        if cell is None:
-            problems.append(f"{label}: missing from fresh run")
-            continue
-        byte_ceiling = base["bytes_per_msg"] * (1.0 + tolerance)
-        if cell["bytes_per_msg"] > byte_ceiling:
-            problems.append(
-                f"{label}: bytes/msg regressed "
-                f"{cell['bytes_per_msg']:.1f} > {byte_ceiling:.1f} "
-                f"(baseline {base['bytes_per_msg']:.1f})")
-        unit_floor = base["frames_per_unit"] * (1.0 - tolerance)
-        if cell["frames_per_unit"] < unit_floor:
-            problems.append(
-                f"{label}: frames/wire-unit regressed "
-                f"{cell['frames_per_unit']:.2f} < {unit_floor:.2f} "
-                f"(baseline {base['frames_per_unit']:.2f})")
-        rate_floor = base["msgs_per_sec"] * (1.0 - tolerance)
-        if cell["msgs_per_sec"] < rate_floor:
-            problems.append(
-                f"{label}: virtual msgs/sec regressed "
-                f"{cell['msgs_per_sec']:.1f} < {rate_floor:.1f} "
-                f"(baseline {base['msgs_per_sec']:.1f})")
-    if not fresh["checks"]["all_passed"]:
-        failed = [k for k, v in fresh["checks"].items()
-                  if isinstance(v, bool) and not v]
-        problems.append(f"fresh run failed its own checks: {failed}")
-    return problems
-
-
-def gate(fresh_path: str, baseline_path: str = WIRE_BASELINE_PATH,
-         tolerance: float = WIRE_TOLERANCE) -> int:
-    try:
-        fresh = json.loads(Path(fresh_path).read_text(encoding="utf-8"))
-        baseline = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        print(f"msgfast gate: cannot load inputs: {exc}")
-        return 2
-    problems = check_wire_regression(fresh, baseline, tolerance)
-    fresh_cells = {(c["mode"], c["load"]): c
-                   for c in fresh.get("wire_sweep", ())}
-    burst = fresh_cells.get(("batched", "burst"))
-    if burst is not None:
-        print(f"msgfast gate: burst batching "
-              f"{burst['frames_per_unit']:.1f} frames/wire-unit, "
-              f"{burst['bytes_per_msg']:.1f} bytes/msg")
-    for problem in problems:
-        print(f"msgfast gate: FAIL: {problem}")
-    if not problems:
-        print("msgfast gate: pass")
-    return 1 if problems else 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.msgfast",
-        description="E-MSGFAST wire-throughput regression gate")
-    parser.add_argument("--gate", nargs="+", metavar="JSON", required=True,
-                        help="compare FRESH [BASELINE] msgfast documents; "
-                             f"baseline defaults to {WIRE_BASELINE_PATH}")
-    args = parser.parse_args(argv)
-    baseline = args.gate[1] if len(args.gate) > 1 else WIRE_BASELINE_PATH
-    return gate(args.gate[0], baseline)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    raise SystemExit(main())

@@ -11,22 +11,19 @@ envelope and resume seal/open calls.
 
 ``python -m repro.bench --experiment hotpath`` prints the report, writes
 ``BENCH_HOTPATH.json`` and exits nonzero if an acceptance check fails.
-Two extra CLI verbs back the CI gates (see ``python -m
-repro.bench.profile --help``):
+With ``--gate`` it also compares the fresh run against the committed
+baseline and fails when any row's per-message work count rises (bytes
+per message may grow by 20%; the rows live in
+:mod:`repro.bench.harness`).  The counts are deterministic on the
+simulator, so the gate is exact on any machine; wall-clock figures are
+reported but not gated, because their run-to-run spread on a shared
+host is wider than any useful bound.
 
-* ``--gate FRESH [BASELINE]`` — regression gate.  Compares a fresh
-  ``BENCH_HOTPATH.json`` against the committed baseline and fails when
-  any row's per-message work count rises (bytes per message may grow by
-  :data:`REGRESSION_TOLERANCE`).  The counts are deterministic on the
-  simulator, so the gate is exact on any machine; wall-clock figures
-  are reported but not gated, because their run-to-run spread on a
-  shared host is wider than any useful bound.
-* ``--check-docs [DOC]`` — drift gate.  The layer-cost table embedded
-  in ``docs/PERFORMANCE.md`` must match the one rendered from the
-  committed baseline JSON byte-for-byte (same pattern as
-  ``python -m repro.wire --check-docs``).
-
-``--cprofile [N]`` runs N steady-state resumed sends under
+``python -m repro.bench --check-docs`` is the drift gate: the layer-cost
+table embedded in ``docs/PERFORMANCE.md`` must match the one rendered
+from the committed baseline JSON byte-for-byte (same pattern as
+``python -m repro.wire --check-docs``); ``--update-docs`` regenerates
+it.  ``--cprofile [N]`` runs N steady-state resumed sends under
 :mod:`cProfile` and prints the hottest functions.
 """
 
@@ -37,15 +34,12 @@ import time
 from pathlib import Path
 
 from repro import obs
-from repro.bench import fixtures
+from repro.bench import fixtures, paths
 from repro.bench.msgfast import _restore_registry, _swap_registry, bench_policy
-from repro.bench.paths import bench_out_path
-
-#: --gate tolerance on bytes per message (the only count allowed to grow)
-REGRESSION_TOLERANCE = 0.20
+from repro.bench.report import format_checks
 
 #: where CI keeps the committed reference run
-BASELINE_PATH = "benchmarks/baselines/BENCH_HOTPATH.json"
+BASELINE_PATH = paths.baseline_path("hotpath")
 
 #: the document carrying the generated layer-cost table
 PERFORMANCE_DOC = "docs/PERFORMANCE.md"
@@ -229,74 +223,8 @@ def format_hotpath(data: dict) -> str:
             f"{_triple(n, 'rsa_private', 'rsa_public', 'rsa_verify'):>11}  "
             f"{_triple(n, 'envelope_seal', 'envelope_open'):>7}  "
             f"{_triple(n, 'resume_seal', 'resume_open'):>7}")
-    checks = data["checks"]
-    lines += ["", "E-HOTPATH acceptance checks:"]
-    for key, value in sorted(checks.items()):
-        if key == "all_passed":
-            continue
-        lines.append(f"  {key:<34} : {value}")
-    lines.append(f"  {'all_passed':<34} : {checks['all_passed']}")
+    lines += ["", *format_checks("E-HOTPATH", data["checks"])]
     return "\n".join(lines)
-
-
-def write_bench_hotpath(data: dict,
-                        path: str | Path | None = None) -> Path:
-    """Persist the E-HOTPATH document as machine-readable JSON."""
-    out = Path(path) if path is not None else bench_out_path("BENCH_HOTPATH.json")
-    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    return out
-
-
-# -- CI regression gate ----------------------------------------------------
-
-
-def check_regression(fresh: dict, baseline: dict,
-                     tolerance: float = REGRESSION_TOLERANCE) -> list[str]:
-    """Problems (empty = pass) comparing a fresh run to the baseline.
-
-    The gated quantities are each row's per-message work counts, exact
-    on the simulator: a count above the baseline's is a regression,
-    except bytes per message, which may grow by ``tolerance``.
-    Wall-clock figures are not compared.
-    """
-    problems: list[str] = []
-    fresh_rows = {row["layer"]: row for row in fresh["layers"]}
-    for base_row in baseline["layers"]:
-        layer = base_row["layer"]
-        row = fresh_rows.get(layer)
-        if row is None:
-            problems.append(f"layer {layer!r} missing from the fresh run")
-            continue
-        for key in WORK_COUNTS:
-            got, ref = row["per_msg"][key], base_row["per_msg"][key]
-            limit = ref * (1.0 + tolerance) if key == "bytes" else ref
-            if got > limit:
-                problems.append(
-                    f"{layer}: {key} per message rose to {got:g} "
-                    f"(baseline {ref:g}, limit {limit:g})")
-    if not fresh["checks"]["all_passed"]:
-        failed = [k for k, v in fresh["checks"].items() if not v]
-        problems.append(f"fresh run failed its own checks: {failed}")
-    return problems
-
-
-def gate(fresh_path: str, baseline_path: str = BASELINE_PATH,
-         tolerance: float = REGRESSION_TOLERANCE) -> int:
-    try:
-        fresh = json.loads(Path(fresh_path).read_text(encoding="utf-8"))
-        baseline = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        print(f"hotpath gate: cannot load inputs: {exc}")
-        return 2
-    problems = check_regression(fresh, baseline, tolerance)
-    print(f"hotpath gate: per-message work of {len(fresh['layers'])} layers "
-          f"vs {baseline_path}")
-    for problem in problems:
-        print(f"hotpath gate: FAIL: {problem}")
-    if not problems:
-        print("hotpath gate: pass")
-    return 1 if problems else 0
 
 
 # -- the generated layer-cost table (docs drift gate) ----------------------
@@ -336,7 +264,7 @@ def embedded_section(doc_text: str) -> str | None:
 
 
 def check_docs(doc_path: str = PERFORMANCE_DOC,
-               baseline_path: str = BASELINE_PATH) -> int:
+               baseline_path: str | Path = BASELINE_PATH) -> int:
     try:
         doc = Path(doc_path).read_text(encoding="utf-8")
         baseline = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
@@ -351,15 +279,15 @@ def check_docs(doc_path: str = PERFORMANCE_DOC,
     expected = render_layer_table(baseline)
     if embedded != expected:
         print(f"drift check: {doc_path} layer table is out of date — "
-              "regenerate with `python -m repro.bench.profile "
-              f"--update-docs` after refreshing {baseline_path}")
+              "regenerate with `python -m repro.bench --update-docs` "
+              f"after refreshing {baseline_path}")
         return 1
     print(f"drift check: {doc_path} layer table matches {baseline_path}")
     return 0
 
 
 def update_docs(doc_path: str = PERFORMANCE_DOC,
-                baseline_path: str = BASELINE_PATH) -> int:
+                baseline_path: str | Path = BASELINE_PATH) -> int:
     doc = Path(doc_path).read_text(encoding="utf-8")
     baseline = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
     try:
@@ -396,48 +324,3 @@ def run_cprofile(messages: int = 300, top: int = 20) -> int:
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative").print_stats(top)
     return 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.profile",
-        description="E-HOTPATH gates: regression, docs drift, cProfile")
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--gate", nargs="+", metavar="JSON",
-                       help="compare FRESH [BASELINE] hotpath documents; "
-                            f"baseline defaults to {BASELINE_PATH}")
-    group.add_argument("--check-docs", nargs="?", const=PERFORMANCE_DOC,
-                       metavar="DOC",
-                       help="verify the generated layer table in DOC "
-                            f"against {BASELINE_PATH}")
-    group.add_argument("--update-docs", nargs="?", const=PERFORMANCE_DOC,
-                       metavar="DOC",
-                       help="rewrite the generated layer table in DOC "
-                            f"from {BASELINE_PATH}")
-    group.add_argument("--dump-table", action="store_true",
-                       help=f"print the layer table from {BASELINE_PATH}")
-    group.add_argument("--cprofile", nargs="?", const=300, type=int,
-                       metavar="N",
-                       help="profile N steady-state resumed sends")
-    args = parser.parse_args(argv)
-    if args.gate:
-        baseline = args.gate[1] if len(args.gate) > 1 else BASELINE_PATH
-        return gate(args.gate[0], baseline)
-    if args.check_docs:
-        return check_docs(args.check_docs)
-    if args.update_docs:
-        return update_docs(args.update_docs)
-    if args.dump_table:
-        baseline = json.loads(
-            Path(BASELINE_PATH).read_text(encoding="utf-8"))
-        print(render_layer_table(baseline), end="")
-        return 0
-    if args.cprofile:
-        return run_cprofile(args.cprofile)
-    return 2
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    raise SystemExit(main())

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from repro.bench.experiments import (
     BaselineComparisonPoint,
     GroupScalePoint,
@@ -12,7 +9,20 @@ from repro.bench.experiments import (
     MsgOverheadCurve,
     PolicyAblationRow,
 )
-from repro.bench.paths import bench_out_path
+
+
+def format_checks(experiment: str, checks: dict) -> list[str]:
+    """The acceptance-check block that ends every experiment report.
+
+    Float values are ratios and print as multiples.
+    """
+    lines = [f"{experiment} acceptance checks:"]
+    for key, value in sorted(checks.items()):
+        if key != "all_passed":
+            shown = f"{value:.2f}x" if isinstance(value, float) else value
+            lines.append(f"  {key:<34} : {shown}")
+    lines.append(f"  {'all_passed':<34} : {checks['all_passed']}")
+    return lines
 
 
 def _ms(seconds: float) -> str:
@@ -103,14 +113,6 @@ def format_obs(data: dict) -> str:
                 f"  {name:>32}  {s.get('count', 0):>6}"
                 f"  {s.get('p50', 0.0):>9.3f}  {s.get('p95', 0.0):>9.3f}")
     return "\n".join(lines)
-
-
-def write_bench_obs(data: dict, path: str | Path | None = None) -> Path:
-    """Persist the E-OBS document as machine-readable JSON."""
-    out = Path(path) if path is not None else bench_out_path("BENCH_OBS.json")
-    out.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    return out
 
 
 def format_policy_ablation(rows: list[PolicyAblationRow]) -> str:

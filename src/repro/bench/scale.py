@@ -25,20 +25,17 @@ security claims:
   under the expected reasons, before any handler runs;
 * goodput returns to 100% after the disruption lifts.
 
-``--gate FRESH [BASELINE]`` compares a fresh document against the
-committed quick-profile baseline (count quantities only; latency and
-convergence stay informational).
+``python -m repro.bench --experiment scale --quick --gate`` compares a
+fresh document against the committed quick-profile baseline (count
+quantities only; latency and convergence stay informational).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import time
-from pathlib import Path
 
 from repro.bench.msgfast import _restore_registry, _swap_registry
-from repro.bench.paths import bench_out_path
 from repro.core.policy import SecurityPolicy
 from repro.crypto import envelope, signing
 from repro.crypto.drbg import HmacDrbg
@@ -74,9 +71,6 @@ STORM_TICKS_QUICK = 8
 
 #: fraction of the population joining through the real login exchange
 WIRE_FRACTION = 0.002
-
-BASELINE_PATH = "benchmarks/baselines/BENCH_SCALE.json"
-TOLERANCE = 0.20
 
 GROUP = "scale-probe"
 
@@ -150,6 +144,12 @@ def _wire_reject_total(phase_report: dict) -> int:
     return sum(phase_report["rejects"]["wire"].values())
 
 
+def reject_total(phase_report: dict) -> int:
+    """Every reject a phase counted, across the whole taxonomy."""
+    return sum(sum(layer.values())
+               for layer in phase_report["rejects"].values())
+
+
 def _checks(report: dict, adversaries: dict, engine: ScenarioEngine,
             population: int) -> dict:
     by_name = {p["name"]: p for p in report["phases"]}
@@ -216,8 +216,7 @@ def format_scale(data: dict) -> str:
         f"{'good%':>6} {'rejects':>8} {'conv(s)':>8}",
     ]
     for phase in data["phases"]:
-        rejects = sum(sum(layer.values())
-                      for layer in phase["rejects"].values())
+        rejects = reject_total(phase)
         good = phase["goodput"]["probe_ratio"]
         conv = phase["convergence_s"]
         lines.append(
@@ -240,98 +239,3 @@ def format_scale(data: dict) -> str:
     lines.append(f"  checks: {status}"
                  + (f" ({', '.join(failing)})" if failing else ""))
     return "\n".join(lines)
-
-
-def write_bench_scale(data: dict, path: str | Path | None = None) -> Path:
-    """Persist the E-SCALE document as machine-readable JSON."""
-    out = Path(path) if path is not None else bench_out_path("BENCH_SCALE.json")
-    out.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n",
-                   encoding="utf-8")
-    return out
-
-
-# -- regression gate ---------------------------------------------------------
-
-#: per-phase count quantities gated against the baseline (ceilings: more
-#: frames for the same scripted load is a cost regression)
-_GATED_PHASE_QUANTITIES = ("frames_sent",)
-
-
-def check_scale_regression(fresh: dict, baseline: dict,
-                           tolerance: float = TOLERANCE) -> list[str]:
-    """Problems (empty = pass) comparing fresh numbers to the baseline.
-
-    Counts only: the acceptance checks must hold, the population shape
-    must match, per-phase frame costs must not grow past tolerance and
-    the siege-phase reject totals must not shrink below it (the
-    taxonomy still catching everything it used to).  Wall time and
-    convergence stay informational.
-    """
-    problems: list[str] = []
-    if not fresh.get("checks", {}).get("all_passed"):
-        failing = [k for k, v in fresh.get("checks", {}).items()
-                   if k != "all_passed" and not v]
-        problems.append(f"fresh run fails acceptance checks: "
-                        f"{', '.join(failing) or 'missing checks section'}")
-    for key in ("brokers", "population"):
-        if fresh.get(key) != baseline.get(key):
-            problems.append(f"{key} changed: fresh {fresh.get(key)} "
-                            f"!= baseline {baseline.get(key)}")
-    base_phases = {p["name"]: p for p in baseline.get("phases", ())}
-    fresh_phases = {p["name"]: p for p in fresh.get("phases", ())}
-    if not base_phases:
-        problems.append("baseline document has no phases section")
-    for name, base in sorted(base_phases.items()):
-        phase = fresh_phases.get(name)
-        if phase is None:
-            problems.append(f"phase {name!r}: missing from fresh run")
-            continue
-        for quantity in _GATED_PHASE_QUANTITIES:
-            ceiling = base["goodput"][quantity] * (1.0 + tolerance)
-            if phase["goodput"][quantity] > ceiling:
-                problems.append(
-                    f"phase {name!r}: {quantity} regressed "
-                    f"{phase['goodput'][quantity]} > {ceiling:.0f} "
-                    f"(baseline {base['goodput'][quantity]})")
-        base_rejects = sum(sum(layer.values())
-                           for layer in base["rejects"].values())
-        rejects = sum(sum(layer.values())
-                      for layer in phase["rejects"].values())
-        floor = base_rejects * (1.0 - tolerance)
-        if name == "siege" and rejects < floor:
-            problems.append(
-                f"phase {name!r}: reject taxonomy shrank "
-                f"{rejects} < {floor:.0f} (baseline {base_rejects})")
-    return problems
-
-
-def gate(fresh_path: str, baseline_path: str = BASELINE_PATH,
-         tolerance: float = TOLERANCE) -> int:
-    try:
-        fresh = json.loads(Path(fresh_path).read_text(encoding="utf-8"))
-        baseline = json.loads(Path(baseline_path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        print(f"scale gate: cannot load inputs: {exc}")
-        return 2
-    problems = check_scale_regression(fresh, baseline, tolerance)
-    for problem in problems:
-        print(f"scale gate: FAIL: {problem}")
-    if not problems:
-        print("scale gate: pass")
-    return 1 if problems else 0
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.bench.scale",
-        description="E-SCALE population-scale security regression gate")
-    parser.add_argument("--gate", nargs="+", metavar="JSON", required=True,
-                        help="compare FRESH [BASELINE] scale documents; "
-                             f"baseline defaults to {BASELINE_PATH}")
-    args = parser.parse_args(argv)
-    baseline = args.gate[1] if len(args.gate) > 1 else BASELINE_PATH
-    return gate(args.gate[0], baseline)
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CI
-    raise SystemExit(main())

@@ -5,12 +5,9 @@ from __future__ import annotations
 import copy
 import json
 
-from repro.bench.group import (
-    _cast_cell,
-    check_group_regression,
-    gate,
-    write_bench_group,
-)
+from repro.bench.group import _cast_cell
+from repro.bench.harness import gate, regressions
+from repro.bench.paths import write_bench
 
 
 def small_doc():
@@ -41,40 +38,40 @@ class TestCastCell:
 class TestRegressionGate:
     def test_identical_docs_pass(self):
         doc = small_doc()
-        assert check_group_regression(doc, copy.deepcopy(doc)) == []
+        assert regressions("group", doc, copy.deepcopy(doc)) == []
 
     def test_frame_growth_fails(self):
         base = small_doc()
         fresh = copy.deepcopy(base)
         fresh["size_sweep"][0]["sender_frames_per_cast"] = 2.0
-        problems = check_group_regression(fresh, base)
+        problems = regressions("group", fresh, base)
         assert any("sender_frames_per_cast" in p for p in problems)
 
     def test_delivery_count_is_exact(self):
         base = small_doc()
         fresh = copy.deepcopy(base)
         fresh["size_sweep"][0]["delivered_per_cast"] -= 1.0
-        problems = check_group_regression(fresh, base)
+        problems = regressions("group", fresh, base)
         assert any("delivered_per_cast" in p for p in problems)
 
     def test_missing_cell_fails(self):
         base = small_doc()
         fresh = copy.deepcopy(base)
         fresh["size_sweep"] = []
-        problems = check_group_regression(fresh, base)
+        problems = regressions("group", fresh, base)
         assert any("missing" in p for p in problems)
 
     def test_fresh_self_check_failure_fails(self):
         base = small_doc()
         fresh = copy.deepcopy(base)
         fresh["checks"] = {"all_passed": False, "o1_rsa_flat": False}
-        problems = check_group_regression(fresh, base)
+        problems = regressions("group", fresh, base)
         assert any("its own checks" in p for p in problems)
 
     def test_gate_cli_roundtrip(self, tmp_path):
         doc = small_doc()
-        fresh = write_bench_group(doc, tmp_path / "fresh.json")
+        fresh = write_bench("group", doc, tmp_path / "fresh.json")
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps(doc), encoding="utf-8")
-        assert gate(str(fresh), str(baseline)) == 0
-        assert gate(str(tmp_path / "nope.json"), str(baseline)) == 2
+        assert gate("group", str(fresh), str(baseline)) == 0
+        assert gate("group", str(tmp_path / "nope.json"), str(baseline)) == 2

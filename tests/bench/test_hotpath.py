@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import profile
+from repro.bench import harness, profile
 
 
 def _per_msg(**overrides: float) -> dict:
@@ -68,33 +68,33 @@ class TestLayerLadder:
 class TestRegressionGate:
     def test_equal_runs_pass(self):
         doc = _tiny_document()
-        assert profile.check_regression(doc, doc) == []
+        assert harness.regressions("hotpath", doc, doc) == []
 
     def test_extra_rsa_op_fails(self):
         baseline = _tiny_document()
         fresh = _tiny_document(rsa_private=1.0)
-        problems = profile.check_regression(fresh, baseline)
+        problems = harness.regressions("hotpath", fresh, baseline)
         assert any("rsa_private" in p for p in problems)
 
     def test_drop_within_tolerance_passes(self):
         # wall clock is not gated; bytes may grow within the tolerance
         baseline = _tiny_document(resumed_ms=5.0)
         fresh = _tiny_document(resumed_ms=50.0, bytes=765.0 * 1.15)
-        assert profile.check_regression(fresh, baseline) == []
+        assert harness.regressions("hotpath", fresh, baseline) == []
         fresh = _tiny_document(bytes=765.0 * 1.3)
         assert any("bytes" in p
-                   for p in profile.check_regression(fresh, baseline))
+                   for p in harness.regressions("hotpath", fresh, baseline))
 
     def test_missing_layer_fails(self):
         baseline = _tiny_document()
         fresh = _tiny_document()
         fresh["layers"].pop()
-        problems = profile.check_regression(fresh, baseline)
+        problems = harness.regressions("hotpath", fresh, baseline)
         assert any("missing" in p for p in problems)
 
     def test_failed_checks_fail_the_gate(self):
         doc = _tiny_document(all_passed=False)
-        problems = profile.check_regression(doc, doc)
+        problems = harness.regressions("hotpath", doc, doc)
         assert any("failed its own checks" in p for p in problems)
 
     def test_gate_cli(self, tmp_path):
@@ -102,10 +102,11 @@ class TestRegressionGate:
         base = tmp_path / "base.json"
         fresh.write_text(json.dumps(_tiny_document(resumed_ms=9.0)))
         base.write_text(json.dumps(_tiny_document()))
-        assert profile.gate(str(fresh), str(base)) == 0
+        assert harness.gate("hotpath", str(fresh), str(base)) == 0
         fresh.write_text(json.dumps(_tiny_document(frames=2.0)))
-        assert profile.gate(str(fresh), str(base)) == 1
-        assert profile.gate(str(tmp_path / "missing.json"), str(base)) == 2
+        assert harness.gate("hotpath", str(fresh), str(base)) == 1
+        assert harness.gate(
+            "hotpath", str(tmp_path / "missing.json"), str(base)) == 2
 
 
 class TestLayerTableDocs:

@@ -7,13 +7,9 @@ import json
 
 import pytest
 
-from repro.bench.scale import (
-    check_scale_regression,
-    format_scale,
-    gate,
-    scale_report,
-    write_bench_scale,
-)
+from repro.bench.harness import gate, regressions
+from repro.bench.paths import write_bench
+from repro.bench.scale import format_scale, scale_report
 
 PHASE_NAMES = ["ramp", "flash-crowd", "brownout", "siege", "recovery"]
 
@@ -86,13 +82,13 @@ def small_doc():
 class TestRegressionGate:
     def test_identical_docs_pass(self):
         doc = small_doc()
-        assert check_scale_regression(doc, copy.deepcopy(doc)) == []
+        assert regressions("scale", doc, copy.deepcopy(doc)) == []
 
     def test_fresh_self_check_failure_fails(self):
         base = small_doc()
         fresh = copy.deepcopy(base)
         fresh["checks"] = {"all_passed": False, "sybil_none_accepted": False}
-        problems = check_scale_regression(fresh, base)
+        problems = regressions("scale", fresh, base)
         assert any("acceptance checks" in p for p in problems)
         assert any("sybil_none_accepted" in p for p in problems)
 
@@ -100,27 +96,27 @@ class TestRegressionGate:
         base = small_doc()
         fresh = copy.deepcopy(base)
         fresh["phases"][0]["goodput"]["frames_sent"] = 1_300
-        problems = check_scale_regression(fresh, base)
+        problems = regressions("scale", fresh, base)
         assert any("frames_sent regressed" in p for p in problems)
 
     def test_frame_growth_within_tolerance_passes(self):
         base = small_doc()
         fresh = copy.deepcopy(base)
         fresh["phases"][0]["goodput"]["frames_sent"] = 1_100
-        assert check_scale_regression(fresh, base) == []
+        assert regressions("scale", fresh, base) == []
 
     def test_siege_reject_shrink_fails(self):
         base = small_doc()
         fresh = copy.deepcopy(base)
         fresh["phases"][1]["rejects"]["wire"] = {"wire.reject.x.bad": 5}
-        problems = check_scale_regression(fresh, base)
+        problems = regressions("scale", fresh, base)
         assert any("taxonomy shrank" in p for p in problems)
 
     def test_missing_phase_fails(self):
         base = small_doc()
         fresh = copy.deepcopy(base)
         fresh["phases"] = fresh["phases"][:1]
-        problems = check_scale_regression(fresh, base)
+        problems = regressions("scale", fresh, base)
         assert any("missing from fresh run" in p for p in problems)
 
     def test_shape_change_fails(self):
@@ -128,17 +124,17 @@ class TestRegressionGate:
         fresh = copy.deepcopy(base)
         fresh["brokers"] = 4
         fresh["population"] = 1_000
-        problems = check_scale_regression(fresh, base)
+        problems = regressions("scale", fresh, base)
         assert any("brokers changed" in p for p in problems)
         assert any("population changed" in p for p in problems)
 
     def test_gate_cli_roundtrip(self, tmp_path):
         doc = small_doc()
-        fresh = write_bench_scale(doc, tmp_path / "fresh.json")
+        fresh = write_bench("scale", doc, tmp_path / "fresh.json")
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps(doc), encoding="utf-8")
-        assert gate(str(fresh), str(baseline)) == 0
-        assert gate(str(tmp_path / "nope.json"), str(baseline)) == 2
+        assert gate("scale", str(fresh), str(baseline)) == 0
+        assert gate("scale", str(tmp_path / "nope.json"), str(baseline)) == 2
 
 
 class TestCommittedBaseline:
@@ -146,4 +142,4 @@ class TestCommittedBaseline:
         baseline = json.loads(
             open("benchmarks/baselines/BENCH_SCALE.json",
                  encoding="utf-8").read())
-        assert check_scale_regression(quick_doc, baseline) == []
+        assert regressions("scale", quick_doc, baseline) == []
