@@ -61,7 +61,6 @@ from repro.overlay.client import ClientPeer
 from repro.overlay.policy import RetryPolicy, Timeout
 from repro.overlay.primitives import primitive
 from repro.net.base import Transport
-from repro.sim.network import SimNetwork
 from repro.xmllib import Element
 
 #: how many recent message nonces each peer remembers (duplicate damping)
@@ -71,7 +70,7 @@ NONCE_WINDOW = 1024
 class SecureClientPeer(ClientPeer):
     """Client Module + the secure primitive set."""
 
-    def __init__(self, network: "SimNetwork | Transport", address: str,
+    def __init__(self, network: Transport, address: str,
                  drbg: HmacDrbg,
                  trust_anchor: Credential, name: str = "",
                  policy: SecurityPolicy = DEFAULT_POLICY,

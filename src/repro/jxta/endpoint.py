@@ -3,8 +3,7 @@
 Dispatches incoming frames to per-message-type handlers, mirroring
 JXTA's endpoint service.  The endpoint is **transport-agnostic**: it
 talks to any :class:`~repro.net.base.Transport` backend — the
-discrete-event simulator (:class:`~repro.net.sim.SimTransport`,
-auto-wrapped around a bare :class:`~repro.sim.network.SimNetwork`) or
+discrete-event simulator (:class:`~repro.sim.network.SimNetwork`) or
 real asyncio TCP sockets (:class:`~repro.net.tcp.TcpTransport`) — so
 the same overlay code serves simulated links and 127.0.0.1 sockets.
 
@@ -22,13 +21,12 @@ transport, and the connect/receive/close lifecycle hooks.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import Callable, Mapping
 
 from repro.errors import FrameTooLargeError, JxtaError, NetworkError, TransportError
 from repro.jxta.messages import Message
 from repro.jxta.transport.base import PlainTransport, SecureTransport
-from repro.net.base import Frame, Transport, as_transport
+from repro.net.base import Frame, Transport
 from repro.sim.metrics import Metrics
 
 MessageHandler = Callable[[Message, str], Message | None]
@@ -44,13 +42,12 @@ PeerHook = Callable[[str], None]
 class Endpoint:
     """A named attachment to a transport backend."""
 
-    def __init__(self, network, address: str,
+    def __init__(self, network: Transport, address: str,
                  transport: SecureTransport | None = None) -> None:
-        """Attach to ``network`` — a :class:`~repro.net.base.Transport`
-        or a bare :class:`~repro.sim.network.SimNetwork` (wrapped
-        transparently).  ``transport`` is the optional *secure*
-        (crypto) transport, kept under its historical name."""
-        self.net: Transport = as_transport(network)
+        """Attach to the :class:`~repro.net.base.Transport` ``network``.
+        ``transport`` is the optional *secure* (crypto) transport, kept
+        under its historical name."""
+        self.net = network
         self.address = address
         self.transport = transport if transport is not None else PlainTransport()
         self.metrics = Metrics()
@@ -72,27 +69,19 @@ class Endpoint:
     # -- link scheduling -----------------------------------------------------
 
     def configure_links(self, policy=None, *, breaker_factory=None):
-        """Install a link scheduler on the transport underneath.
+        """Install (or retune) the transport's shared link scheduler.
 
-        Returns the :class:`~repro.net.linkq.LinkScheduler`, or ``None``
-        when the backend has no link layer (discovered by capability,
-        not by type, so third-party transports stay valid).
+        Returns the :class:`~repro.net.linkq.LinkScheduler`.
         """
-        configure = getattr(self.net, "configure_links", None)
-        if configure is None:
-            return None
-        return configure(policy, breaker_factory=breaker_factory)
+        return self.net.configure_links(policy, breaker_factory=breaker_factory)
 
     def corked(self):
         """Coalesce sends inside the context into shared wire units.
 
-        A no-op context on transports without a link scheduler, so
+        A no-op context until the transport has a link scheduler, so
         fan-out loops may cork unconditionally.
         """
-        corked = getattr(self.net, "corked", None)
-        if corked is None:
-            return nullcontext()
-        return corked()
+        return self.net.corked()
 
     # -- declarative configuration -----------------------------------------
 

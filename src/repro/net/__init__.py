@@ -3,7 +3,7 @@
 The overlay's endpoints are transport-agnostic: the same broker,
 client, federation and secure-* code runs on
 
-* :class:`~repro.net.sim.SimTransport` — the deterministic
+* :class:`~repro.sim.network.SimNetwork` — the deterministic
   discrete-event simulator (the test harness), and
 * :class:`~repro.net.tcp.TcpTransport` — real asyncio TCP sockets with
   length-prefixed framing (the production path).
@@ -11,9 +11,9 @@ client, federation and secure-* code runs on
 See ``docs/TRANSPORTS.md`` for the backend matrix, the framing format
 and the lifecycle-hook contract.
 
-The backend classes are exported lazily: ``repro.sim.network`` imports
-:class:`~repro.net.base.Frame` from this package, so eagerly importing
-the sim backend here would cycle through ``repro.sim``.
+:class:`~repro.net.tcp.TcpTransport` and the link-layer classes are
+exported lazily: :mod:`repro.net.framing` (pulled in by both) imports
+:mod:`repro.jxta`, which imports this package back.
 """
 
 from repro.net.adversary import AdversarySurface, adversary_surface
@@ -23,7 +23,6 @@ from repro.net.base import (
     PeerHook,
     Transport,
     TransportClock,
-    as_transport,
 )
 from repro.net.clock import WallClock
 
@@ -35,26 +34,28 @@ __all__ = [
     "LinkPolicy",
     "LinkScheduler",
     "PeerHook",
-    "SimTransport",
     "TcpTransport",
     "Transport",
     "TransportClock",
     "WallClock",
-    "as_transport",
 ]
 
 
+def SimTransport(network):
+    """Return ``network`` unchanged: a ``SimNetwork`` is a transport.
+
+    Kept only for ``sim_p50_ms`` in ``benchmarks/e2e/harness.py``,
+    which still wraps its network in this name; remove it together
+    with that call.
+    """
+    return network
+
+
 def __getattr__(name: str):
-    if name == "SimTransport":
-        from repro.net.sim import SimTransport
-        return SimTransport
     if name == "TcpTransport":
         from repro.net.tcp import TcpTransport
         return TcpTransport
     if name in ("LinkPolicy", "LinkScheduler"):
-        # Lazy for the same reason as the backends: repro.net.framing
-        # (pulled in by repro.net.linkq) imports repro.jxta, which
-        # imports this package back.
         from repro.net import linkq
         return getattr(linkq, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

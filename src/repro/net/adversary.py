@@ -12,17 +12,15 @@ backend:
 
 * :class:`~repro.sim.network.SimNetwork` implements the surface
   natively (frames cross it mid-wire);
-* :class:`~repro.net.sim.SimTransport` delegates to its network;
 * :class:`~repro.net.tcp.TcpTransport` applies an equivalent chain on
   its outbound path — every ``send`` datagram, the request leg before
   the socket write and the response leg after it — which covers all
   traffic whenever the processes under attack share the transport
   object (the in-process attack-evaluation setup).
 
-:func:`adversary_surface` is the coercion helper attack code calls:
-give it whatever the caller holds — a bare network, a transport, or
-anything already exposing the hooks — and it returns the object to
-install taps and interceptors on.
+:func:`adversary_surface` is the check attack code calls: give it
+whatever the caller holds and it returns the object to install taps
+and interceptors on, or raises :class:`TypeError` when there is none.
 """
 
 from __future__ import annotations
@@ -52,9 +50,8 @@ class Interceptor(Protocol):
 class AdversarySurface(Protocol):
     """Where taps and interceptors are installed.
 
-    Both simulator classes and :class:`~repro.net.tcp.TcpTransport`
-    satisfy this; :func:`adversary_surface` finds it from whatever
-    handle the attack code was given.
+    :class:`~repro.sim.network.SimNetwork` and
+    :class:`~repro.net.tcp.TcpTransport` both satisfy this.
     """
 
     def add_tap(self, tap: Tap) -> None: ...
@@ -67,18 +64,14 @@ class AdversarySurface(Protocol):
 
 
 def adversary_surface(backend) -> AdversarySurface:
-    """The tap/interceptor surface behind ``backend``.
+    """The tap/interceptor surface of ``backend``.
 
-    Accepts a :class:`~repro.sim.network.SimNetwork`, any transport
-    exposing the hooks itself (:class:`~repro.net.tcp.TcpTransport`),
-    or a wrapper holding a ``.network`` that does
-    (:class:`~repro.net.sim.SimTransport`).
+    Accepts any transport exposing the hooks
+    (:class:`~repro.sim.network.SimNetwork`,
+    :class:`~repro.net.tcp.TcpTransport`).
     """
     if isinstance(backend, AdversarySurface):
         return backend
-    inner = getattr(backend, "network", None)
-    if inner is not None and isinstance(inner, AdversarySurface):
-        return inner
     raise TypeError(
         f"{type(backend).__name__} exposes no adversary surface "
         "(add_tap/add_interceptor)")

@@ -3,10 +3,14 @@
 A :class:`Transport` moves **serialized frame bytes** between named
 addresses.  Two backends implement it:
 
-* :class:`repro.net.sim.SimTransport` — the discrete-event simulator
+* :class:`repro.sim.network.SimNetwork` — the discrete-event simulator
   (deterministic; the test harness),
 * :class:`repro.net.tcp.TcpTransport` — real asyncio TCP sockets with
   length-prefixed framing (the production path).
+
+Either way, one transport object serves every endpoint of a world (a
+simulated network, or a process), and so does its one link scheduler
+(:mod:`repro.net.linkq`).
 
 The overlay never talks to a backend directly: it goes through
 :class:`repro.jxta.endpoint.Endpoint`, which owns message decode,
@@ -84,6 +88,14 @@ class Transport(Protocol):
       unknown destination and returns ``False`` on best-effort loss;
     * :meth:`request` raises :class:`~repro.errors.NetworkError` when
       the exchange fails or the responder does not answer.
+
+    The link layer is part of the contract too: :meth:`configure_links`
+    installs the transport's one link scheduler (a later call only
+    swaps its policy), :meth:`corked` coalesces the sends inside it (a
+    no-op context before ``configure_links``), and
+    :meth:`set_link_compression` records a negotiated zlib level,
+    raising :class:`~repro.errors.NetworkError` when no scheduler is
+    installed.
     """
 
     clock: TransportClock
@@ -100,23 +112,8 @@ class Transport(Protocol):
 
     def request(self, src: str, dst: str, payload: bytes) -> bytes: ...
 
+    def configure_links(self, policy=None, *, breaker_factory=None): ...
 
-def as_transport(backend) -> "Transport":
-    """Coerce ``backend`` into a :class:`Transport`.
+    def corked(self): ...
 
-    Accepts a ready transport unchanged; a bare
-    :class:`~repro.sim.network.SimNetwork` is wrapped in a
-    :class:`~repro.net.sim.SimTransport`, which is what keeps every
-    pre-redesign ``Endpoint(network, address)`` call site working.
-    """
-    # Imported lazily: repro.sim.network re-exports our Frame, so a
-    # module-level import here would cycle through the package.
-    from repro.sim.network import SimNetwork
-
-    if isinstance(backend, SimNetwork):
-        from repro.net.sim import SimTransport
-        return SimTransport(backend)
-    if isinstance(backend, Transport):
-        return backend
-    raise TypeError(
-        f"expected a Transport or SimNetwork, got {type(backend).__name__}")
+    def set_link_compression(self, src: str, dst: str, level: int) -> None: ...

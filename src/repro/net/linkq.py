@@ -30,11 +30,15 @@ optional ``defer(delay, callback)`` timer hook (the TCP backend arms
 ``loop.call_later``; the simulator drains queues deterministically at
 the outermost network-operation boundary instead).
 
-Batching only exists where it is asked for: no scheduler is created
-until ``configure_links`` is called on a transport, so a transport
-without one sends the legacy wire byte-for-byte (the backend-parity
-suite checks it), and compression only runs on a link negotiated at a
-level above 0.
+Each transport has at most one scheduler, shared by every endpoint
+registered on it (a :class:`~repro.sim.network.SimNetwork` or a
+:class:`~repro.net.tcp.TcpTransport`); queues, compression levels and
+breakers are keyed by link, and a repeated ``configure_links`` only
+swaps the policy.  Batching only exists where it is asked for: no
+scheduler is created until ``configure_links`` is called on a
+transport, so a transport without one sends the legacy wire
+byte-for-byte (the backend-parity suite checks it), and compression
+only runs on a link negotiated at a level above 0.
 """
 
 from __future__ import annotations
@@ -329,12 +333,21 @@ class LinkScheduler:
                     self._defer(deadline - now, self.pump)
 
     def flush_all(self) -> None:
-        """Ship every queued frame now (cork exit, transport drain)."""
+        """Ship every queued frame now (cork exit, transport drain).
+
+        Repeats until every queue is empty: on the simulator a delivery
+        runs the receiving handler inline, and what that handler sends
+        may land on a queue this pass has already visited.
+        """
         with self._lock:
             if self._flushing:
                 return
-            for (src, dst), queue in list(self._queues.items()):
-                if queue.frames:
+            while True:
+                pending = [(link, queue) for link, queue in self._queues.items()
+                           if queue.frames]
+                if not pending:
+                    return
+                for (src, dst), queue in pending:
                     self._flush_queue(src, dst, queue)
 
     def flush_link(self, src: str, dst: str) -> None:

@@ -133,23 +133,31 @@ class TcpTransport:
 
     def configure_links(self, policy: linkq.LinkPolicy | None = None, *,
                         breaker_factory=None) -> linkq.LinkScheduler:
-        """Install (or replace) the link scheduler for this transport.
+        """Install the link scheduler, or retune the installed one.
 
         Datagrams to a busy link coalesce into BATCH wire units — one
         ``writer.write`` per flush — with the adaptive window armed as
         an event-loop timer; an idle link still flushes immediately,
-        so request/response latency is untouched.
+        so request/response latency is untouched.  Every endpoint on
+        this transport shares the scheduler, so a later call only swaps
+        in ``policy``: queues, negotiated compression levels and
+        circuit breakers survive.
         """
-        self.scheduler = linkq.LinkScheduler(
-            policy if policy is not None else linkq.LinkPolicy(),
-            clock_now=lambda: self.clock.now,
-            send_single=lambda src, dst, payload: self._wire_send(
-                src, dst, framing.KIND_DATA, payload),
-            send_batch=lambda src, dst, payload: self._wire_send(
-                src, dst, framing.KIND_BATCH, payload),
-            breaker_factory=breaker_factory,
-            defer=self._arm_flush_timer)
-        return self.scheduler
+        policy = policy if policy is not None else linkq.LinkPolicy()
+        with self._lock:
+            if self.scheduler is not None:
+                self.scheduler.policy = policy
+                return self.scheduler
+            self.scheduler = linkq.LinkScheduler(
+                policy,
+                clock_now=lambda: self.clock.now,
+                send_single=lambda src, dst, payload: self._wire_send(
+                    src, dst, framing.KIND_DATA, payload),
+                send_batch=lambda src, dst, payload: self._wire_send(
+                    src, dst, framing.KIND_BATCH, payload),
+                breaker_factory=breaker_factory,
+                defer=self._arm_flush_timer)
+            return self.scheduler
 
     def _arm_flush_timer(self, delay: float, callback) -> None:
         """Run ``callback`` on the worker pool after ``delay`` seconds."""

@@ -29,7 +29,6 @@ from repro.overlay.database import UserDatabase
 from repro.overlay.federation import Federation
 from repro.overlay.linkcaps import LinkCapsMixin
 from repro.net.base import Transport
-from repro.sim.network import SimNetwork
 from repro.xmllib import Element
 
 
@@ -46,7 +45,7 @@ class ConnectedPeer:
 class Broker(LinkCapsMixin):
     """A JXTA-Overlay broker."""
 
-    def __init__(self, network: SimNetwork | Transport, address: str,
+    def __init__(self, network: Transport, address: str,
                  database: UserDatabase, drbg: HmacDrbg, name: str = "") -> None:
         self.control = ControlModule(network, address, drbg)
         self.database = database

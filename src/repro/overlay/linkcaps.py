@@ -6,7 +6,7 @@ zlib level it is willing to spend (``link_caps_req``); the responder
 answers with the codec and level it actually selected
 (``link_caps_ok``) and seeds its *own* outbound compression toward the
 requester with the same level, so one round trip configures the link
-symmetrically.  A responder without a link scheduler (or with
+symmetrically.  A responder that never enabled link batching (or has
 compression disabled by policy) answers ``codec="none"``, which keeps
 the exchange harmless against any endpoint.
 
@@ -41,9 +41,12 @@ class LinkCapsMixin:
                              breaker_factory=None):
         """Install a link scheduler on this entity's transport.
 
-        Returns the scheduler (or ``None`` on a backend without a link
-        layer).  Batching stays off for everyone who does not call
-        this — the legacy one-frame-per-send wire is the default.
+        Returns the scheduler.  The transport has one scheduler for all
+        of its endpoints: the first call installs it, a later one (from
+        any node on the same transport) only swaps in its policy and
+        keeps every link already negotiated.  Batching stays off until
+        some node calls this — the legacy one-frame-per-send wire is
+        the default.
         """
         policy = policy if policy is not None else DEFAULT_LINK_POLICY
         self.link_policy = policy
@@ -105,9 +108,9 @@ class LinkCapsMixin:
 
     def _apply_link_compression(self, dst: str, level: int) -> bool:
         """Seed outbound compression toward ``dst``; False if no scheduler."""
-        net = self.control.endpoint.net
-        setter = getattr(net, "set_link_compression", None)
-        if setter is None or getattr(net, "scheduler", None) is None:
+        try:
+            self.control.endpoint.net.set_link_compression(
+                self.address, dst, level)
+        except NetworkError:
             return False
-        setter(self.address, dst, level)
         return True

@@ -18,36 +18,54 @@ Security-evaluation hooks:
 * **taps** observe every frame (passive eavesdropper, §2.3 threat 1);
 * **interceptors** may rewrite/redirect/drop frames (fake broker via DNS
   spoofing, §2.3 threat 3, and message tampering, threat 2).
+
+:class:`SimNetwork` is itself a :class:`~repro.net.base.Transport`, so
+every endpoint on a simulated world shares one network object, exactly
+as every endpoint of a process shares one
+:class:`~repro.net.tcp.TcpTransport`:
+
+* **lifecycle hooks** — there is no socket to accept, so "connect" is
+  synthesized from the first frame a peer delivers to a registration,
+  and every peer seen is "closed" at unregister time, which is when a
+  socket backend would drop the connections of a vanishing endpoint;
+* **link scheduling** — after :meth:`SimNetwork.configure_links` one
+  :class:`~repro.net.linkq.LinkScheduler` sits between :meth:`send`
+  and delivery.  Datagrams issued *inside* a handler (the window
+  :attr:`SimNetwork.op_depth` exposes) or under :meth:`corked` coalesce
+  into one simulated delivery per BATCH wire unit — taps, interceptors
+  and the link model see the batch as a single frame, exactly as a
+  socket would carry it — and the scheduler is drained when the
+  outermost operation completes, so every queued frame is delivered
+  before simulation code regains control.  Top-level sends outside a
+  cork flush immediately as legacy single-frame units, so an unbatched
+  caller cannot tell the scheduler is there.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import TYPE_CHECKING, Callable
 
 from repro import obs
 from repro.errors import NetworkError
 from repro.net import adversary
-from repro.net.base import Frame
+from repro.net.adversary import Interceptor, Tap
+from repro.net.base import Frame, PeerHook
+from repro.net.base import FrameHandler as Handler
 from repro.sim.clock import VirtualClock
 from repro.sim.latency import LAN_2009, LinkModel
 
-__all__ = ["Frame", "Handler", "Interceptor", "NetworkStats", "SimNetwork", "Tap"]
+if TYPE_CHECKING:
+    from repro.net.linkq import LinkPolicy, LinkScheduler
 
+__all__ = ["Frame", "Handler", "Interceptor", "NetworkStats", "SIM_BATCH_MAGIC",
+           "SimNetwork", "Tap"]
 
-class Tap(Protocol):
-    """Passive observer of all frames (an eavesdropper)."""
-
-    def observe(self, frame: Frame) -> None: ...
-
-
-#: An interceptor sees a frame and returns a (possibly different) frame to
-#: deliver, or ``None`` to drop it.  The returned frame's ``dst`` may be
-#: rewritten, which models DNS-spoofing style redirection.
-Interceptor = Callable[[Frame], Frame | None]
-
-#: Handler signature: receives the frame, returns optional response bytes.
-Handler = Callable[[Frame], bytes | None]
+#: Prefix marking a simulated BATCH wire unit.  Serialized overlay
+#: messages are JSON or sealed-envelope bytes and never start with a
+#: NUL byte, so the tag cannot collide with a real payload.
+SIM_BATCH_MAGIC = b"\x00repro:batch\x01"
 
 
 #: Per-frame instruments, resolved once instead of per record() call.
@@ -100,6 +118,8 @@ class SimNetwork:
         self.default_link = link
         self._links: dict[tuple[str, str], LinkModel] = {}
         self._handlers: dict[str, Handler] = {}
+        #: per-address lifecycle state: (on_close, peers seen so far)
+        self._lifecycles: dict[str, tuple[PeerHook | None, set[str]]] = {}
         self._taps: list[Tap] = []
         self._interceptors: list[Interceptor] = []
         self._jitter_draw = jitter_draw
@@ -107,21 +127,37 @@ class SimNetwork:
         self.stats = NetworkStats()
         #: nesting depth of in-flight send/request calls (drain boundary)
         self._op_depth = 0
-        self._draining = False
-        self._flush_hooks: list[Callable[[], None]] = []
+        #: the link scheduler every send goes through, once configured
+        self.scheduler: LinkScheduler | None = None
 
     # -- topology -----------------------------------------------------------
 
-    def register(self, address: str, handler: Handler) -> None:
+    def register(self, address: str, handler: Handler, *,
+                 on_connect: PeerHook | None = None,
+                 on_close: PeerHook | None = None) -> None:
         """Attach an endpoint; raises if the address is taken."""
         if address in self._handlers:
             raise NetworkError(f"address {address!r} is already registered")
-        self._handlers[address] = handler
+        if on_connect is not None or on_close is not None:
+            seen: set[str] = set()
+            self._lifecycles[address] = (on_close, seen)
+            handler = _hooked(handler, on_connect, seen)
+        self._handlers[address] = _split_batches(handler)
         obs.get_registry().set_gauge("net.endpoints", len(self._handlers))
 
     def unregister(self, address: str) -> None:
+        """Detach an endpoint: ship what it queued, then close its peers."""
+        if self.scheduler is not None:
+            self.scheduler.flush_for(address)
+            self._drain()
+        lifecycle = self._lifecycles.pop(address, None)
         self._handlers.pop(address, None)
         obs.get_registry().set_gauge("net.endpoints", len(self._handlers))
+        if lifecycle is not None:
+            on_close, seen = lifecycle
+            if on_close is not None:
+                for peer in sorted(seen):
+                    on_close(peer)
 
     def is_registered(self, address: str) -> bool:
         return address in self._handlers
@@ -150,43 +186,74 @@ class SimNetwork:
     def remove_interceptor(self, interceptor: Interceptor) -> None:
         self._interceptors.remove(interceptor)
 
-    # -- link-scheduler drain boundary ----------------------------------------
+    # -- link scheduling -------------------------------------------------------
+    # repro.net.linkq and repro.net.framing are imported where they are
+    # used: framing imports repro.jxta, which imports this package back.
+
+    def configure_links(self, policy: LinkPolicy | None = None, *,
+                        breaker_factory=None) -> LinkScheduler:
+        """Install the link scheduler, or retune the installed one.
+
+        The first call creates the network's one
+        :class:`~repro.net.linkq.LinkScheduler`.  A later call only
+        swaps in ``policy``: queues, negotiated compression levels and
+        circuit breakers survive, so one node enabling batching never
+        drops the link state another node already negotiated.
+        """
+        from repro.net import linkq
+
+        policy = policy if policy is not None else linkq.LinkPolicy()
+        if self.scheduler is not None:
+            self.scheduler.policy = policy
+            return self.scheduler
+        self.scheduler = linkq.LinkScheduler(
+            policy,
+            clock_now=lambda: self.clock.now,
+            send_single=self._ship_unit,
+            send_batch=lambda src, dst, payload: self._ship_unit(
+                src, dst, SIM_BATCH_MAGIC + payload),
+            breaker_factory=breaker_factory)
+        return self.scheduler
+
+    def _ship_unit(self, src: str, dst: str, payload: bytes) -> bool:
+        try:
+            return self._transmit(src, dst, payload)
+        except NetworkError:
+            # The destination vanished after the frame was queued: a
+            # best-effort datagram loss, not a caller error.
+            return False
+
+    def corked(self):
+        """Batch every send inside the context into shared wire units."""
+        if self.scheduler is None:
+            return nullcontext()
+        return self.scheduler.corked()
+
+    def set_link_compression(self, src: str, dst: str, level: int) -> None:
+        if self.scheduler is None:
+            raise NetworkError("configure_links() before negotiating compression")
+        self.scheduler.set_link_compression(src, dst, level)
 
     @property
     def op_depth(self) -> int:
         """How many send/request calls are on the stack right now.
 
         Depth > 0 means delivery is happening *inside* a handler of an
-        outer operation — the window in which a link scheduler may
+        outer operation — the window in which the link scheduler may
         coalesce frames without changing observable ordering, because
         the drain below runs before the outermost call returns.
         """
         return self._op_depth
 
-    def add_flush_hook(self, hook: Callable[[], None]) -> None:
-        """Run ``hook`` whenever the outermost network op completes.
+    def _end_op(self) -> None:
+        self._op_depth -= 1
+        self._drain()
 
-        Link schedulers register their drain here: every queued frame
-        is shipped before test or application code regains control, so
-        batching never changes when a frame is observable — only how
-        many wire units carried it.
-        """
-        if hook not in self._flush_hooks:
-            self._flush_hooks.append(hook)
-
-    def remove_flush_hook(self, hook: Callable[[], None]) -> None:
-        if hook in self._flush_hooks:
-            self._flush_hooks.remove(hook)
-
-    def _drain_flushes(self) -> None:
-        if self._draining or not self._flush_hooks:
-            return
-        self._draining = True
-        try:
-            for hook in list(self._flush_hooks):
-                hook()
-        finally:
-            self._draining = False
+    def _drain(self) -> None:
+        """Ship every queued frame once no operation is in flight."""
+        scheduler = self.scheduler
+        if self._op_depth == 0 and scheduler is not None and not scheduler.corked_now:
+            scheduler.flush_all()
 
     # -- delivery -------------------------------------------------------------
 
@@ -207,7 +274,26 @@ class SimNetwork:
         Raises :class:`NetworkError` only for an unknown *original*
         destination; adversarial drops and link loss return ``False`` —
         datagrams are best-effort, exactly like JXTA pipe messages.
+        With a link scheduler the frame is queued instead and ``True``
+        means it was accepted.
         """
+        scheduler = self.scheduler
+        if scheduler is None:
+            return self._transmit(src, dst, payload)
+        if dst not in self._handlers:
+            raise NetworkError(f"no endpoint registered at {dst!r}")
+        # Coalesce only where delivery order stays observable: inside a
+        # handler of an in-flight network op (drained before the
+        # outermost call returns) or under an explicit cork.
+        accepted = scheduler.enqueue(src, dst, payload,
+                                     coalesce=self._op_depth > 0)
+        # What the receiving handlers queued while this frame was
+        # flushed must not wait for the next operation.
+        self._drain()
+        return accepted
+
+    def _transmit(self, src: str, dst: str, payload: bytes) -> bool:
+        """Put one wire unit on the link and deliver it."""
         if dst not in self._handlers:
             raise NetworkError(f"no endpoint registered at {dst!r}")
         self._op_depth += 1
@@ -224,9 +310,7 @@ class SimNetwork:
             self._handlers[out.dst](out)
             return True
         finally:
-            self._op_depth -= 1
-            if self._op_depth == 0:
-                self._drain_flushes()
+            self._end_op()
 
     def request(self, src: str, dst: str, payload: bytes) -> bytes:
         """Round-trip exchange; returns the responder's bytes.
@@ -235,6 +319,10 @@ class SimNetwork:
         :meth:`VirtualClock.cpu_section`.  Raises :class:`NetworkError`
         when the request or the response is dropped or unanswered.
         """
+        if self.scheduler is not None:
+            # Ordering barrier: datagrams queued to this link must hit
+            # the wire before the request does.
+            self.scheduler.flush_link(src, dst)
         if dst not in self._handlers:
             raise NetworkError(f"no endpoint registered at {dst!r}")
         self._op_depth += 1
@@ -263,6 +351,36 @@ class SimNetwork:
             self.stats.record(back_out, delivered=True)
             return back_out.payload
         finally:
-            self._op_depth -= 1
-            if self._op_depth == 0:
-                self._drain_flushes()
+            self._end_op()
+
+
+def _hooked(handler: Handler, on_connect: PeerHook | None,
+            seen: set[str]) -> Handler:
+    """Fire ``on_connect`` on the first frame from each peer."""
+
+    def hooked(frame: Frame) -> bytes | None:
+        if frame.src not in seen:
+            seen.add(frame.src)
+            if on_connect is not None:
+                on_connect(frame.src)
+        return handler(frame)
+
+    return hooked
+
+
+def _split_batches(handler: Handler) -> Handler:
+    """Unwrap BATCH wire units back into per-frame handler calls."""
+
+    def split(frame: Frame) -> bytes | None:
+        if not frame.payload.startswith(SIM_BATCH_MAGIC):
+            return handler(frame)
+        from repro.net import framing
+
+        payloads = framing.decode_batch_payload(
+            frame.payload[len(SIM_BATCH_MAGIC):])
+        for payload in payloads:
+            handler(Frame(src=frame.src, dst=frame.dst,
+                          payload=payload, sent_at=frame.sent_at))
+        return None
+
+    return split

@@ -2,7 +2,7 @@
 
 Unit tests drive a :class:`~repro.net.linkq.LinkScheduler` directly
 through recording callbacks; the integration tests put a scheduler-backed
-:class:`~repro.net.sim.SimTransport` under an injected link outage
+:class:`~repro.sim.network.SimNetwork` under an injected link outage
 (`repro.sim.faults`) and check the backpressure contract: bounded
 queues, defer/drop per policy, a breaker that opens — and a clean,
 deadlock-free drain on close.
@@ -10,17 +10,21 @@ deadlock-free drain on close.
 
 from __future__ import annotations
 
+import time
 from contextlib import nullcontext
 
 import pytest
 
 from repro import obs
+from repro.crypto.drbg import HmacDrbg
 from repro.net import framing
 from repro.net.linkq import LinkPolicy, LinkScheduler
-from repro.net.sim import SIM_BATCH_MAGIC, SimTransport
+from repro.net.tcp import TcpTransport
+from repro.overlay import Broker, ClientPeer, UserDatabase
 from repro.overlay.policy import link_breaker_factory
 from repro.sim import SimNetwork, VirtualClock
 from repro.sim.faults import FaultPlan, LinkOutage
+from repro.sim.network import SIM_BATCH_MAGIC
 
 
 @pytest.fixture()
@@ -253,64 +257,62 @@ class TestOutageIntegration:
 
     def _world(self, policy: LinkPolicy, threshold: int = 3):
         net = SimNetwork(clock=VirtualClock())
-        rx = SimTransport(net)
         got: list[bytes] = []
-        rx.register("rx", lambda frame: got.append(frame.payload) or None)
-        tx = SimTransport(net)
-        tx.configure_links(policy, breaker_factory=link_breaker_factory(
+        net.register("rx", lambda frame: got.append(frame.payload) or None)
+        net.configure_links(policy, breaker_factory=link_breaker_factory(
             net.clock, failure_threshold=threshold, reset_timeout_s=10.0))
-        return net, tx, got
+        return net, got
 
     def test_outage_trips_breaker_and_bounds_the_queue(self, fresh_obs):
         policy = LinkPolicy(max_queue_frames=8, overflow="drop")
-        net, tx, got = self._world(policy)
+        net, got = self._world(policy)
         FaultPlan(LinkOutage("tx", "rx", start=0.0, heal_at=60.0)).install(net)
         shed = 0
-        with tx.scheduler.corked():
+        with net.scheduler.corked():
             for i in range(64):
-                if tx.send("tx", "rx", b"blackhole-%d" % i) is False:
+                if net.send("tx", "rx", b"blackhole-%d" % i) is False:
                     shed += 1
-                assert tx.scheduler.pending_frames() <= policy.max_queue_frames
+                assert net.scheduler.pending_frames() <= policy.max_queue_frames
         assert got == []                             # outage ate everything
         assert shed > 0                              # bounded, not buffered
         assert fresh_obs.count("net.queue.drop") > 0
         assert fresh_obs.count("faults.link_outage.injected") > 0
         # breaker is open: a fresh send fails fast without queue growth
-        assert tx.send("tx", "rx", b"fail-fast") is False
-        assert tx.scheduler.pending_frames() == 0
+        assert net.send("tx", "rx", b"fail-fast") is False
+        assert net.scheduler.pending_frames() == 0
 
     def test_defer_policy_keeps_paying_flushes_during_outage(self, fresh_obs):
         policy = LinkPolicy(max_queue_frames=4, overflow="defer")
-        net, tx, _got = self._world(policy, threshold=100)
+        net, _got = self._world(policy, threshold=100)
         FaultPlan(LinkOutage("tx", "rx", start=0.0, heal_at=60.0)).install(net)
-        with tx.scheduler.corked():
+        with net.scheduler.corked():
             for i in range(32):
-                tx.send("tx", "rx", b"deferred-%d" % i)
-                assert tx.scheduler.pending_frames() <= policy.max_queue_frames
+                net.send("tx", "rx", b"deferred-%d" % i)
+                assert net.scheduler.pending_frames() <= policy.max_queue_frames
         assert fresh_obs.count("net.queue.defer") > 0
 
     def test_recovery_after_heal_and_cooldown(self):
         policy = LinkPolicy(max_queue_frames=8, overflow="drop")
-        net, tx, got = self._world(policy)
+        net, got = self._world(policy)
         FaultPlan(LinkOutage("tx", "rx", start=0.0, heal_at=1.0)).install(net)
         for i in range(8):
-            tx.send("tx", "rx", b"lost-%d" % i)
+            net.send("tx", "rx", b"lost-%d" % i)
         assert got == []
         net.clock.advance(30.0)                      # heal + breaker cooldown
-        assert tx.send("tx", "rx", b"revived") is True
+        assert net.send("tx", "rx", b"revived") is True
         assert got == [b"revived"]
 
     def test_unregister_drains_without_deadlock(self):
         policy = LinkPolicy(max_queue_frames=8, overflow="drop")
-        net, tx, got = self._world(policy, threshold=100)
+        net, got = self._world(policy, threshold=100)
         FaultPlan(LinkOutage("tx", "rx", start=0.0, heal_at=60.0)).install(net)
-        with tx.scheduler.corked():
+        with net.scheduler.corked():
             for i in range(4):
-                tx.send("tx", "rx", b"stranded-%d" % i)
+                net.send("tx", "rx", b"stranded-%d" % i)
             # an endpoint disappearing mid-cork must flush-and-go, even
             # though every delivery fails against the outage
-            tx.unregister("tx")
-        assert tx.scheduler.pending_frames("tx") == 0
+            net.unregister("tx")
+        assert net.scheduler.pending_frames("tx") == 0
         assert got == []
 
 
@@ -321,14 +323,12 @@ class TestLegacyByteIdentity:
         net = SimNetwork(clock=VirtualClock())
         seen: list[bytes] = []
         net.add_interceptor(lambda frame: seen.append(frame.payload) or frame)
-        rx = SimTransport(net)
-        rx.register("rx", lambda frame: None)
-        tx = SimTransport(net)
+        net.register("rx", lambda frame: None)
         if use_scheduler:
-            tx.configure_links(LinkPolicy())
-        with tx.corked() if corked else nullcontext():
+            net.configure_links(LinkPolicy())
+        with net.corked() if corked else nullcontext():
             for i in range(8):
-                tx.send("tx", "rx", b"legacy-%d" % i)
+                net.send("tx", "rx", b"legacy-%d" % i)
         return seen
 
     def test_flag_off_reproduces_the_unscheduled_wire(self):
@@ -341,6 +341,67 @@ class TestLegacyByteIdentity:
         batched = self._deliveries(use_scheduler=True, corked=True)
         assert len(batched) == 1
         assert batched[0].startswith(SIM_BATCH_MAGIC)
+
+
+class TestSimDrain:
+    """What a handler sends while the shared scheduler flushes is not stranded."""
+
+    @pytest.mark.parametrize("corked", [False, True])
+    def test_forwarded_frames_arrive_before_control_returns(self, corked):
+        net = SimNetwork(clock=VirtualClock())
+        got: list[bytes] = []
+        net.register("bob", lambda frame: got.append(frame.payload) or None)
+        net.register("broker", lambda frame: net.send(
+            "broker", "bob", b"fwd:" + frame.payload) and None)
+        net.configure_links(LinkPolicy())
+        with net.corked() if corked else nullcontext():
+            for i in range(3):
+                net.send("alice", "broker", b"m%d" % i)
+        assert got == [b"fwd:m0", b"fwd:m1", b"fwd:m2"]
+        assert net.scheduler.pending_frames() == 0
+
+
+class TestSharedTransport:
+    """Every node on a transport shares its one link scheduler."""
+
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    def test_second_node_keeps_the_first_nodes_negotiated_link(self, backend):
+        net = (SimNetwork() if backend == "sim"
+               else TcpTransport(request_timeout=10.0))
+        root = HmacDrbg(b"shared-transport")
+        db = UserDatabase(root.fork(b"db"))
+        db.register_user("alice", "pw-a", {"students"})
+        db.register_user("bob", "pw-b", {"students"})
+        broker = Broker(net, "broker:0", db, root.fork(b"br"), name="B0")
+        alice = ClientPeer(net, "peer:alice", root.fork(b"al"), name="alice-app")
+        bob = ClientPeer(net, "peer:bob", root.fork(b"bo"), name="bob-app")
+        received: list[str] = []
+        bob.events.subscribe("message_received",
+                             lambda **kw: received.append(kw["text"]))
+        policy = LinkPolicy(compress_level=6)
+        try:
+            broker.enable_link_batching(policy)
+            alice.enable_link_batching(policy)
+            alice.connect("broker:0")
+            alice.login("alice", "pw-a")
+            assert alice.negotiate_link("broker:0") == 6
+            bob.enable_link_batching(policy)
+            links = alice.control.endpoint.net.scheduler
+            assert links.link_compression("peer:alice", "broker:0") == 6
+            assert links is bob.control.endpoint.net.scheduler
+            bob.connect("broker:0")
+            bob.login("bob", "pw-b")
+            assert alice.send_msg_peer(str(bob.peer_id), "students",
+                                       "still linked").ok
+            deadline = time.monotonic() + 10.0
+            while not received and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert received == ["still linked"]
+        finally:
+            for node in (alice, bob, broker):
+                node.control.close()
+            if backend == "tcp":
+                net.close()
 
 
 class TestPolicyValidation:

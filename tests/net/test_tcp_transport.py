@@ -1,9 +1,12 @@
 """TcpTransport: real 127.0.0.1 sockets behind the Transport contract.
 
-Every test runs against OS-assigned loopback ports; nothing here is
-simulated.  The suite pins down the semantics the overlay's retry and
-failover machinery was written against (see ``repro.net.base``), plus
-the drain-on-unregister guarantees ``Endpoint.close()`` relies on.
+Every TCP test runs against OS-assigned loopback ports.  The suite pins
+down the semantics the overlay's retry and failover machinery was
+written against (see ``repro.net.base``), plus the drain-on-unregister
+guarantees ``Endpoint.close()`` relies on.  The backend-neutral part of
+the contract (the ``Contract``, ``LifecycleHooks`` and ``Unregister``
+cases, all written against the ``backend`` fixture) runs again on the
+simulator in :class:`TestSimNetworkContract`.
 """
 
 from __future__ import annotations
@@ -16,8 +19,9 @@ import time
 import pytest
 
 from repro.errors import NetworkError
-from repro.net.base import Frame, Transport, as_transport
+from repro.net.base import Frame, Transport
 from repro.net.tcp import TcpTransport
+from repro.sim import SimNetwork
 
 
 def wait_for(predicate, timeout: float = 5.0) -> bool:
@@ -36,29 +40,58 @@ def tcp():
     transport.close()
 
 
-class TestContract:
-    def test_satisfies_the_transport_protocol(self, tcp):
-        assert isinstance(tcp, Transport)
-        assert as_transport(tcp) is tcp
+@pytest.fixture()
+def backend(tcp):
+    """The transport the backend-neutral cases run on (overridden by
+    :class:`TestSimNetworkContract`)."""
+    return tcp
 
+
+class ContractCases:
+    def test_satisfies_the_transport_protocol(self, backend):
+        assert isinstance(backend, Transport)
+
+    def test_duplicate_register_raises(self, backend):
+        backend.register("broker:0", lambda frame: None)
+        with pytest.raises(NetworkError, match="already registered"):
+            backend.register("broker:0", lambda frame: None)
+
+    def test_send_to_unknown_destination_raises(self, backend):
+        with pytest.raises(NetworkError, match="no endpoint registered"):
+            backend.send("peer:a", "peer:ghost", b"x")
+
+    def test_request_to_unknown_destination_raises(self, backend):
+        with pytest.raises(NetworkError, match="no endpoint registered"):
+            backend.request("peer:a", "peer:ghost", b"x")
+
+
+class LifecycleHooksCases:
+    def test_connect_and_close_fire_once_per_peer(self, backend):
+        connected: list[str] = []
+        closed: list[str] = []
+        backend.register("svc", lambda frame: frame.payload,
+                         on_connect=connected.append, on_close=closed.append)
+        backend.request("peer:a", "svc", b"one")
+        backend.request("peer:a", "svc", b"two")
+        assert wait_for(lambda: connected == ["peer:a"])
+        assert closed == []
+        backend.unregister("svc")
+        assert wait_for(lambda: closed == ["peer:a"])
+
+
+class UnregisterCases:
+    def test_unregister_is_idempotent(self, backend):
+        backend.register("svc", lambda frame: None)
+        backend.unregister("svc")
+        backend.unregister("svc")          # no-op, no raise
+
+
+class TestContract(ContractCases):
     def test_register_assigns_a_real_port(self, tcp):
         tcp.register("broker:0", lambda frame: None)
         host, port = tcp.location("broker:0")
         assert host == "127.0.0.1" and port > 0
         assert tcp.is_registered("broker:0")
-
-    def test_duplicate_register_raises(self, tcp):
-        tcp.register("broker:0", lambda frame: None)
-        with pytest.raises(NetworkError, match="already registered"):
-            tcp.register("broker:0", lambda frame: None)
-
-    def test_send_to_unknown_destination_raises(self, tcp):
-        with pytest.raises(NetworkError, match="no endpoint registered"):
-            tcp.send("peer:a", "peer:ghost", b"x")
-
-    def test_request_to_unknown_destination_raises(self, tcp):
-        with pytest.raises(NetworkError, match="no endpoint registered"):
-            tcp.request("peer:a", "peer:ghost", b"x")
 
     def test_location_of_unknown_address_raises(self, tcp):
         with pytest.raises(NetworkError):
@@ -175,21 +208,11 @@ class TestRequests:
             b"outer:pong:nested"
 
 
-class TestLifecycleHooks:
-    def test_connect_and_close_fire_once_per_peer(self, tcp):
-        connected: list[str] = []
-        closed: list[str] = []
-        tcp.register("svc", lambda frame: frame.payload,
-                     on_connect=connected.append, on_close=closed.append)
-        tcp.request("peer:a", "svc", b"one")
-        tcp.request("peer:a", "svc", b"two")
-        assert wait_for(lambda: connected == ["peer:a"])
-        assert closed == []
-        tcp.unregister("svc")
-        assert wait_for(lambda: closed == ["peer:a"])
+class TestLifecycleHooks(LifecycleHooksCases):
+    pass
 
 
-class TestDrainOnUnregister:
+class TestDrainOnUnregister(UnregisterCases):
     def test_unregister_fails_the_owners_in_flight_requests(self, tcp):
         """An endpoint closed mid-request cannot leak a hung caller."""
         entered = threading.Event()
@@ -239,10 +262,14 @@ class TestDrainOnUnregister:
         tcp.unregister("svc")
         assert wait_for(lambda: "peer:a" in closed)
 
-    def test_unregister_is_idempotent(self, tcp):
-        tcp.register("svc", lambda frame: None)
-        tcp.unregister("svc")
-        tcp.unregister("svc")          # no-op, no raise
+
+class TestSimNetworkContract(ContractCases, LifecycleHooksCases,
+                             UnregisterCases):
+    """The backend-neutral cases again, on the simulator."""
+
+    @pytest.fixture()
+    def backend(self):
+        return SimNetwork()
 
 
 class TestClose:
