@@ -1,1 +1,1 @@
-"""pytest-benchmark targets for the paper's evaluation (see DESIGN.md)."""
+"""Benchmark assets: the committed gate baselines and the E-E2E socket run."""

@@ -3,12 +3,15 @@
 * **E1** — join overhead (the 81.76% number): :func:`join_overhead`
 * **E2** — Figure 2, secureMsgPeer overhead vs data length:
   :func:`msg_overhead_curve`
-* **A1-A4** — the DESIGN.md ablations.
+* **A1-A4** — the DESIGN.md ablations: :func:`crypto_costs`,
+  :func:`policy_ablation`, :func:`group_scaling`,
+  :func:`baseline_comparison`; **E-OBS**: :func:`obs_bench`.
 
-``python -m repro.bench`` (or ``examples/overhead_study.py``) prints the
-full report, and ``python -m repro.bench --experiment NAME`` runs one
-entry of the experiment table in :mod:`repro.bench.harness`;
-``benchmarks/`` wraps the same functions in pytest-benchmark targets.
+Each is an entry of the experiment table in :mod:`repro.bench.harness`
+(documents and checks in :mod:`repro.bench.evaluation`), beside the
+E-FAULT, E-FED, E-GROUP, E-HOTPATH, E-MSGFAST and E-SCALE experiments.
+``python -m repro.bench --experiment NAME [--quick] [--gate]`` runs one
+entry; ``python -m repro.bench [--quick]`` runs the section 5 entries.
 """
 
 from repro.bench.faults import (
@@ -49,11 +52,11 @@ from repro.bench.experiments import (
     OBS_PRIMITIVES,
     PAPER_JOIN_OVERHEAD_PCT,
     baseline_comparison,
+    crypto_costs,
     group_scaling,
     join_overhead,
     msg_overhead_curve,
     obs_bench,
-    obs_snapshot_report,
     policy_ablation,
 )
 from repro.bench.paths import write_bench
@@ -95,8 +98,8 @@ __all__ = [
     "msg_overhead_curve",
     "group_scaling",
     "baseline_comparison",
+    "crypto_costs",
     "obs_bench",
-    "obs_snapshot_report",
     "policy_ablation",
     "format_join_overhead",
     "format_msg_overhead",

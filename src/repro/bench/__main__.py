@@ -1,16 +1,14 @@
 """``python -m repro.bench``: the one command line of the bench harness.
 
-With no option it runs the paper's section 5 evaluation (E1, E2 and
-Figure 2, the A2-A4 ablations, E-OBS) and prints the report.
-
-``--experiment NAME`` runs one entry of :data:`EXPERIMENTS` instead
-(``fault``, ``fed``, ``group``, ``hotpath``, ``msgfast``, ``scale``),
-writes ``benchmarks/out/BENCH_<NAME>.json`` and exits 1 if the
-document's own acceptance checks fail.  ``--gate`` also compares the
-document with the committed ``benchmarks/baselines/BENCH_<NAME>.json``
-on the experiment's declared rows (:mod:`repro.bench.harness`); exit 2
-means there is no baseline to compare with.  ``--quick`` shrinks every
-run for CI smoke runs.
+``--experiment NAME`` runs one entry of :data:`EXPERIMENTS`, writes
+``benchmarks/out/BENCH_<NAME>.json`` and exits 1 if the document's own
+acceptance checks fail.  ``--gate`` also compares the document with the
+committed ``benchmarks/baselines/BENCH_<NAME>.json`` on the experiment's
+declared rows (:mod:`repro.bench.harness`); exit 2 means there is no
+baseline to compare with.  ``--quick`` shrinks every run for CI smoke
+runs.  With no option it runs the paper's section 5 entries (E1, E2
+and Figure 2, the A1-A4 ablations, E-OBS) one after another and exits
+with the worst of their codes.
 
 ``--check-docs`` / ``--update-docs`` verify or regenerate the layer-cost
 table in ``docs/PERFORMANCE.md`` from the committed E-HOTPATH baseline;
@@ -22,24 +20,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.bench import (
-    baseline_comparison,
-    format_baselines,
-    format_group_scaling,
-    format_join_overhead,
-    format_msg_overhead,
-    format_obs,
-    format_policy_ablation,
-    group_scaling,
-    join_overhead,
-    msg_overhead_curve,
-    obs_bench,
-    policy_ablation,
-    profile,
-    write_bench,
-)
-from repro.bench.figures import render_figure2
-from repro.bench.harness import EXPERIMENTS, gate
+from repro.bench import profile, write_bench
+from repro.bench.harness import EXPERIMENTS, PAPER_EXPERIMENTS, gate
 
 
 def run_experiment(name: str, quick: bool, gated: bool) -> int:
@@ -63,30 +45,6 @@ def run_experiment(name: str, quick: bool, gated: bool) -> int:
     if gated:
         return gate(name, out)
     return 0 if data["checks"]["all_passed"] else 1
-
-
-def run_evaluation(quick: bool) -> int:
-    """The paper's section 5 report, plus ``BENCH_OBS.json``."""
-    print(format_join_overhead(join_overhead(repeats=2 if quick else 3)))
-    print()
-    sizes = (100, 1_000, 10_000, 100_000) if quick else (100, 1_000, 10_000, 100_000, 1_000_000)
-    curve = msg_overhead_curve(sizes=sizes, repeats=2 if quick else 3)
-    print(format_msg_overhead(curve))
-    print()
-    print(render_figure2(curve))
-    print()
-    print(format_group_scaling(group_scaling(group_sizes=(2, 4, 8) if quick else (2, 4, 8, 16))))
-    print()
-    counts = (1, 5, 10) if quick else (1, 2, 5, 10, 50)
-    print(format_baselines(baseline_comparison(message_counts=counts), size_bytes=1_000))
-    print()
-    print(format_policy_ablation(policy_ablation()))
-    print()
-    obs_data = obs_bench(repeats=3 if quick else 5)
-    print(format_obs(obs_data))
-    out = write_bench("obs", obs_data)
-    print(f"  wrote {out}")
-    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -125,7 +83,11 @@ def main(argv: list[str] | None = None) -> int:
         return profile.update_docs(args.update_docs)
     if args.cprofile:
         return profile.run_cprofile(args.cprofile)
-    return run_evaluation(args.quick)
+    codes = []
+    for name in PAPER_EXPERIMENTS:
+        codes.append(run_experiment(name, args.quick, gated=False))
+        print()
+    return max(codes)
 
 
 if __name__ == "__main__":

@@ -1,25 +1,53 @@
-"""The paper's experiments (E1, E2) and the DESIGN.md ablations (A1-A4).
+"""The paper's experiments (E1, E2), the DESIGN.md ablations (A1-A4)
+and E-OBS.
 
 Every function returns plain data structures; ``repro.bench.report``
-renders them as the tables/series the paper prints.  See DESIGN.md
-section 4 for the experiment index and EXPERIMENTS.md for paper-vs-
-measured numbers.
+renders them as the tables/series the paper prints, and
+:mod:`repro.bench.evaluation` shapes them as the experiment-table
+documents.  Every secure measurement runs the paper's stateless path
+(:func:`stateless`) and records, next to its virtual time, the work one
+operation did (``*_work``: frames, bytes, RSA and envelope/resume
+counts).  See DESIGN.md section 4 for the experiment index and
+EXPERIMENTS.md for paper-vs-measured numbers.
 """
 
 from __future__ import annotations
 
+import timeit
 from dataclasses import dataclass, field
 
-from repro import obs
 from repro.bench import fixtures
-from repro.bench.tls_cbjx import CbjxEchoPair, TlsClientDriver, TlsEchoServer
-from repro.bench.timing import mean_total, overhead_pct, repeat_timed, timed_call
+from repro.bench.tls_cbjx import CbjxEchoPair, TlsClientDriver, TlsRecordServer
+from repro.bench.timing import (
+    fresh_registry,
+    mean_total,
+    overhead_pct,
+    repeat_timed,
+    timed_call,
+    work_per_op,
+)
 from repro.core.policy import DEFAULT_POLICY, SecurityPolicy
+from repro.crypto import envelope, pkcs1, signing
+from repro.crypto.chacha20 import chacha20_xor
 from repro.crypto.drbg import HmacDrbg
+from repro.crypto.modes import CBC
+from repro.crypto.sha2 import sha256
+from repro.jxta.ids import cbid_from_key, matches_key
 from repro.sim.latency import LAN_2009, LinkModel
 
 #: the value reported in §5 for the secureConnection+secureLogin overhead
 PAPER_JOIN_OVERHEAD_PCT = 81.76
+
+
+def stateless(policy: SecurityPolicy) -> SecurityPolicy:
+    """The paper's stateless secure path under *policy*.
+
+    §4.3's secureMsgPeer signs and seals every message afresh, so the
+    resumption and seal-many fast paths are switched off whatever
+    *policy* says (E-MSGFAST measures those).  Every §5 measurement
+    chooses its policy here.
+    """
+    return policy.with_(enable_resumption=False, enable_seal_many=False)
 
 
 # ===========================================================================
@@ -35,8 +63,11 @@ class JoinOverheadResult:
     link_name: str = "lan2009"
     cpu_scale: float = 1.0
     rsa_bits: int = 1024
+    plain_work: dict[str, float] = field(default_factory=dict)
+    secure_work: dict[str, float] = field(default_factory=dict)
 
 
+@fresh_registry()
 def join_overhead(policy: SecurityPolicy = DEFAULT_POLICY,
                   link: LinkModel = LAN_2009, link_name: str = "lan2009",
                   repeats: int = 3, cpu_scale: float = 1.0) -> JoinOverheadResult:
@@ -47,6 +78,7 @@ def join_overhead(policy: SecurityPolicy = DEFAULT_POLICY,
     key generation is excluded via cached keys, matching the paper's setup
     where keys exist before the join is timed.
     """
+    policy = stateless(policy)
     plain_times = []
     secure_times = []
     for r in range(repeats):
@@ -58,8 +90,7 @@ def join_overhead(policy: SecurityPolicy = DEFAULT_POLICY,
             client.connect("broker:0")
             client.login("user0", "pw0")
 
-        plain_times.append(timed_call(net, plain_join, cpu_scale,
-                                      name="e1.plain_join"))
+        plain_times.append(timed_call(net, plain_join, cpu_scale))
 
         snet, admin, sbroker, sclients = fixtures.build_secure_world(
             n_clients=1, link=link, policy=policy, seed=b"e1-sec-%d" % r)
@@ -69,15 +100,16 @@ def join_overhead(policy: SecurityPolicy = DEFAULT_POLICY,
             sclient.secure_connect("broker:0")
             sclient.secure_login("user0", "pw0")
 
-        secure_times.append(timed_call(snet, secure_join, cpu_scale,
-                                       name="e1.secure_join"))
+        secure_times.append(timed_call(snet, secure_join, cpu_scale))
 
     plain_s = mean_total(plain_times)
     secure_s = mean_total(secure_times)
     return JoinOverheadResult(
         plain_s=plain_s, secure_s=secure_s,
         overhead_pct=overhead_pct(secure_s, plain_s),
-        link_name=link_name, cpu_scale=cpu_scale, rsa_bits=policy.rsa_bits)
+        link_name=link_name, cpu_scale=cpu_scale, rsa_bits=policy.rsa_bits,
+        plain_work=work_per_op(plain_times),
+        secure_work=work_per_op(secure_times))
 
 
 # ===========================================================================
@@ -90,6 +122,8 @@ class MsgOverheadPoint:
     plain_s: float
     secure_s: float
     overhead_pct: float
+    plain_work: dict[str, float] = field(default_factory=dict)
+    secure_work: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass
@@ -108,6 +142,7 @@ class MsgOverheadCurve:
 DEFAULT_SIZES = (100, 1_000, 10_000, 100_000, 1_000_000)
 
 
+@fresh_registry()
 def msg_overhead_curve(sizes: tuple[int, ...] = DEFAULT_SIZES,
                        policy: SecurityPolicy = DEFAULT_POLICY,
                        link: LinkModel = LAN_2009, link_name: str = "lan2009",
@@ -117,12 +152,8 @@ def msg_overhead_curve(sizes: tuple[int, ...] = DEFAULT_SIZES,
     One warmed-up world per variant; the secure path is measured in its
     steady state (advertisements validated and cached), matching a running
     chat session — the scenario Figure 2 describes.
-
-    Figure 2 plots the paper's stateless secureMsgPeer (a signature and a
-    key wrap on every message), so the resumption and seal-many fast paths
-    are switched off whatever *policy* says; E-MSGFAST measures those.
     """
-    policy = policy.with_(enable_resumption=False, enable_seal_many=False)
+    policy = stateless(policy)
     net, broker, clients = fixtures.build_plain_world(
         n_clients=2, link=link, seed=b"e2-plain")
     fixtures.join_plain(clients)
@@ -138,16 +169,64 @@ def msg_overhead_curve(sizes: tuple[int, ...] = DEFAULT_SIZES,
         text = "x" * size
         plain = repeat_timed(
             net, lambda: alice.send_msg_peer(str(bob.peer_id), "bench", text),
-            repeats=repeats, cpu_scale=cpu_scale, name=f"e2.plain_msg.{size}")
+            repeats=repeats, cpu_scale=cpu_scale)
         secure = repeat_timed(
             snet, lambda: salice.secure_msg_peer(str(sbob.peer_id), "bench", text),
-            repeats=repeats, cpu_scale=cpu_scale, name=f"e2.secure_msg.{size}")
+            repeats=repeats, cpu_scale=cpu_scale)
         plain_s = mean_total(plain)
         secure_s = mean_total(secure)
         curve.points.append(MsgOverheadPoint(
             size_bytes=size, plain_s=plain_s, secure_s=secure_s,
-            overhead_pct=overhead_pct(secure_s, plain_s)))
+            overhead_pct=overhead_pct(secure_s, plain_s),
+            plain_work=work_per_op(plain), secure_work=work_per_op(secure)))
     return curve
+
+
+# ===========================================================================
+# A1 — crypto micro-costs (the primitives E1/E2 are built from)
+# ===========================================================================
+
+def _best_us(fn, rounds: int) -> float:
+    """Best-of-*rounds* microseconds per call, each round at least ~2 ms."""
+    timer = timeit.Timer(fn)
+    number = max(1, int(2e-3 / max(timer.timeit(1), 1e-7)))
+    return round(min(timer.repeat(rounds, number)) / number * 1e6, 3)
+
+
+def crypto_costs(rounds: int = 5) -> dict[str, float]:
+    """A1: microseconds per call of each primitive the secure path uses,
+    on 1 kB inputs.
+
+    Includes DESIGN.md §5 decision 3: a CBID match (hash of the key,
+    compared with the id) against the RSA verify it lets callers skip.
+    """
+    kp1024 = fixtures.cached_keypair(1024, "a1")
+    kp2048 = fixtures.cached_keypair(2048, "a1")
+    drbg = HmacDrbg(b"a1")
+    data = b"m" * 1_024
+    sig1024 = signing.sign(kp1024.private, data, drbg=drbg)
+    sig2048 = signing.sign(kp2048.private, data, drbg=drbg)
+    wrapped = pkcs1.encrypt_oaep(kp1024.public, b"k" * 32, drbg=drbg)
+    sealed = envelope.seal(kp1024.public, data, drbg=drbg)
+    cbid = cbid_from_key(kp1024.public)
+    cbc = CBC(b"k" * 16)
+    ops = {
+        "rsa1024_sign": lambda: signing.sign(kp1024.private, data, drbg=drbg),
+        "rsa1024_verify": lambda: signing.verify(kp1024.public, data, sig1024),
+        "rsa2048_sign": lambda: signing.sign(kp2048.private, data, drbg=drbg),
+        "rsa2048_verify": lambda: signing.verify(kp2048.public, data, sig2048),
+        "rsa1024_oaep_wrap": lambda: pkcs1.encrypt_oaep(
+            kp1024.public, b"k" * 32, drbg=drbg),
+        "rsa1024_oaep_unwrap": lambda: pkcs1.decrypt_oaep(
+            kp1024.private, wrapped),
+        "chacha20": lambda: chacha20_xor(b"k" * 32, b"n" * 12, data),
+        "aes128_cbc": lambda: cbc.encrypt(data, b"i" * 16),
+        "sha256": lambda: sha256(data),
+        "envelope_seal": lambda: envelope.seal(kp1024.public, data, drbg=drbg),
+        "envelope_open": lambda: envelope.open_(kp1024.private, sealed),
+        "cbid_match": lambda: matches_key(cbid, kp1024.public),
+    }
+    return {name: _best_us(fn, rounds) for name, fn in ops.items()}
 
 
 # ===========================================================================
@@ -160,8 +239,11 @@ class GroupScalePoint:
     plain_s: float
     secure_s: float
     overhead_pct: float
+    plain_work: dict[str, float] = field(default_factory=dict)
+    secure_work: dict[str, float] = field(default_factory=dict)
 
 
+@fresh_registry()
 def group_scaling(group_sizes: tuple[int, ...] = (2, 4, 8, 16),
                   policy: SecurityPolicy = DEFAULT_POLICY,
                   link: LinkModel = LAN_2009, cpu_scale: float = 1.0,
@@ -171,6 +253,7 @@ def group_scaling(group_sizes: tuple[int, ...] = (2, 4, 8, 16),
     Both are linear in group size by construction (iterated peer sends,
     §4.3.1); the interesting output is the per-member secure cost.
     """
+    policy = stateless(policy)
     out = []
     for n in group_sizes:
         net, broker, clients = fixtures.build_plain_world(
@@ -179,7 +262,7 @@ def group_scaling(group_sizes: tuple[int, ...] = (2, 4, 8, 16),
         sender = clients[0]
         plain = repeat_timed(
             net, lambda: sender.send_msg_peer_group("bench", text),
-            repeats=2, cpu_scale=cpu_scale, name=f"a3.plain_group.{n}")
+            repeats=2, cpu_scale=cpu_scale)
 
         snet, admin, sbroker, sclients = fixtures.build_secure_world(
             n_clients=n, link=link, policy=policy,
@@ -187,12 +270,13 @@ def group_scaling(group_sizes: tuple[int, ...] = (2, 4, 8, 16),
         ssender = sclients[0]
         secure = repeat_timed(
             snet, lambda: ssender.secure_msg_peer_group("bench", text),
-            repeats=2, cpu_scale=cpu_scale, name=f"a3.secure_group.{n}")
+            repeats=2, cpu_scale=cpu_scale)
         plain_s = mean_total(plain)
         secure_s = mean_total(secure)
         out.append(GroupScalePoint(
             group_size=n, plain_s=plain_s, secure_s=secure_s,
-            overhead_pct=overhead_pct(secure_s, plain_s)))
+            overhead_pct=overhead_pct(secure_s, plain_s),
+            plain_work=work_per_op(plain), secure_work=work_per_op(secure)))
     return out
 
 
@@ -204,10 +288,15 @@ def group_scaling(group_sizes: tuple[int, ...] = (2, 4, 8, 16),
 class BaselineComparisonPoint:
     n_messages: int
     stateless_s: float      # paper's secureMsgPeer, per conversation
-    tls_s: float            # handshake + records
+    tls_s: float            # handshake + one-way records
     cbjx_s: float           # per-message signed encapsulation
+    # work per message of the conversation (TLS: handshake amortised)
+    stateless_work: dict[str, float] = field(default_factory=dict)
+    tls_work: dict[str, float] = field(default_factory=dict)
+    cbjx_work: dict[str, float] = field(default_factory=dict)
 
 
+@fresh_registry()
 def baseline_comparison(message_counts: tuple[int, ...] = (1, 2, 5, 10, 50),
                         size_bytes: int = 1_000,
                         policy: SecurityPolicy = DEFAULT_POLICY,
@@ -217,9 +306,10 @@ def baseline_comparison(message_counts: tuple[int, ...] = (1, 2, 5, 10, 50),
 
     TLS pays a handshake once then cheap symmetric records; the stateless
     scheme pays asymmetric crypto per message; CBJX signs per message but
-    does not encrypt.  The crossover N is the design trade-off §4.3 talks
-    about.
+    does not encrypt.  Every mechanism delivers each message one way.
+    The crossover N is the design trade-off §4.3 talks about.
     """
+    policy = stateless(policy)
     text = "y" * size_bytes
     payload = text.encode()
     out = []
@@ -235,23 +325,22 @@ def baseline_comparison(message_counts: tuple[int, ...] = (1, 2, 5, 10, 50),
             for _ in range(n):
                 salice.secure_msg_peer(str(sbob.peer_id), "bench", text)
 
-        stateless = timed_call(snet, stateless_run, cpu_scale,
-                               name=f"a4.stateless.{n}")
+        stateless_t = timed_call(snet, stateless_run, cpu_scale)
 
-        # TLS channel (handshake included, echo halved to model one-way)
+        # TLS channel, handshake included
         tnet = fixtures.fresh_network(link)
         # OAEP-wrapping the 48-byte premaster needs >= 1024-bit moduli
         server_keys = fixtures.cached_keypair(max(1024, policy.rsa_bits),
                                               "tls-server")
-        TlsEchoServer(tnet, "srv", server_keys, HmacDrbg(b"a4-tls-s-%d" % n))
+        TlsRecordServer(tnet, "srv", server_keys, HmacDrbg(b"a4-tls-s-%d" % n))
         driver = TlsClientDriver(tnet, "cli", "srv", HmacDrbg(b"a4-tls-c-%d" % n))
 
         def tls_run():
             driver.handshake()
             for _ in range(n):
-                driver.echo(payload)
+                driver.send(payload)
 
-        tls = timed_call(tnet, tls_run, cpu_scale, name=f"a4.tls.{n}")
+        tls = timed_call(tnet, tls_run, cpu_scale)
 
         # CBJX datagrams
         cnet = fixtures.fresh_network(link)
@@ -265,14 +354,14 @@ def baseline_comparison(message_counts: tuple[int, ...] = (1, 2, 5, 10, 50),
             for _ in range(n):
                 pair.send_a_to_b(payload)
 
-        cbjx = timed_call(cnet, cbjx_run, cpu_scale, name=f"a4.cbjx.{n}")
+        cbjx = timed_call(cnet, cbjx_run, cpu_scale)
 
         out.append(BaselineComparisonPoint(
-            n_messages=n,
-            stateless_s=stateless.total_s,
-            # echo measures a round trip; halve the record phase roughly
-            tls_s=tls.total_s,
-            cbjx_s=cbjx.total_s))
+            n_messages=n, stateless_s=stateless_t.total_s,
+            tls_s=tls.total_s, cbjx_s=cbjx.total_s,
+            stateless_work=work_per_op([stateless_t], n),
+            tls_work=work_per_op([tls], n),
+            cbjx_work=work_per_op([cbjx], n)))
     return out
 
 
@@ -288,15 +377,29 @@ OBS_PRIMITIVES: dict[str, str] = {
 }
 
 
-def obs_snapshot_report(registry: "obs.Registry",
-                        meta: dict | None = None) -> dict:
-    """Shape a registry snapshot as the ``BENCH_OBS.json`` document.
+def obs_bench(repeats: int = 5, policy: SecurityPolicy = DEFAULT_POLICY,
+              link: LinkModel = LAN_2009, link_name: str = "lan2009",
+              msg_size: int = 1_000) -> dict:
+    """E-OBS: run the secure join + messaging workload under a fresh,
+    enabled observability registry and report the captured distributions.
 
-    Per-primitive latency (p50/p95) and byte/frame distributions for the
-    three §4 primitives, every protocol-phase span histogram, and the raw
-    counter/gauge maps.  Shared by :func:`obs_bench` and the pytest
-    benchmark session hook.
+    Each repeat builds a fresh secure world and performs two full joins
+    (secureConnection + secureLogin per client) plus ``repeats`` calls of
+    secureMsgPeer; the swapped-in registry sees only this workload, so
+    the percentiles are clean per-primitive distributions: per paper
+    primitive, latency (p50/p95) and byte/frame distributions, plus
+    every protocol-phase span histogram and the raw counter/gauge maps.
     """
+    policy = stateless(policy)
+    text = "x" * msg_size
+    with fresh_registry() as registry:
+        for r in range(repeats):
+            net, admin, broker, clients = fixtures.build_secure_world(
+                n_clients=2, link=link, policy=policy,
+                seed=b"e-obs-%d" % r, joined=True)
+            c0, c1 = clients
+            for _ in range(repeats):
+                c0.secure_msg_peer(str(c1.peer_id), "bench", text)
     snap = registry.snapshot()
     primitives = {}
     for paper_name, prim in OBS_PRIMITIVES.items():
@@ -308,7 +411,13 @@ def obs_snapshot_report(registry: "obs.Registry",
             "frames_sent": snap["histograms"].get(f"overlay.{prim}.frames_sent", {}),
         }
     return {
-        "meta": meta or {},
+        "meta": {
+            "experiment": "obs_bench",
+            "repeats": repeats,
+            "rsa_bits": policy.rsa_bits,
+            "link": link_name,
+            "msg_size_bytes": msg_size,
+        },
         "primitives": primitives,
         "spans": {name: summary
                   for name, summary in snap["histograms"].items()
@@ -316,44 +425,6 @@ def obs_snapshot_report(registry: "obs.Registry",
         "counters": snap["counters"],
         "gauges": snap["gauges"],
     }
-
-
-def obs_bench(repeats: int = 5, policy: SecurityPolicy = DEFAULT_POLICY,
-              link: LinkModel = LAN_2009, link_name: str = "lan2009",
-              msg_size: int = 1_000) -> dict:
-    """E-OBS: run the secure join + messaging workload under a fresh,
-    enabled observability registry and report the captured distributions.
-
-    Each repeat builds a fresh secure world and performs two full joins
-    (secureConnection + secureLogin per client) plus ``repeats`` calls of
-    secureMsgPeer; the swapped-in registry sees only this workload, so
-    the percentiles are clean per-primitive distributions.
-    """
-    registry = obs.Registry(enabled=True)
-    saved = (obs.get_registry(), obs.get_tracer(), obs.get_events())
-    obs.set_registry(registry)
-    obs.set_tracer(obs.Tracer(registry=registry))
-    obs.set_events(obs.ProtocolEvents(registry=registry))
-    text = "x" * msg_size
-    try:
-        for r in range(repeats):
-            net, admin, broker, clients = fixtures.build_secure_world(
-                n_clients=2, link=link, policy=policy,
-                seed=b"e-obs-%d" % r, joined=True)
-            c0, c1 = clients
-            for _ in range(repeats):
-                c0.secure_msg_peer(str(c1.peer_id), "bench", text)
-    finally:
-        obs.set_registry(saved[0])
-        obs.set_tracer(saved[1])
-        obs.set_events(saved[2])
-    return obs_snapshot_report(registry, meta={
-        "experiment": "obs_bench",
-        "repeats": repeats,
-        "rsa_bits": policy.rsa_bits,
-        "link": link_name,
-        "msg_size_bytes": msg_size,
-    })
 
 
 # ===========================================================================
@@ -367,16 +438,17 @@ class PolicyAblationRow:
     suite: str
     join_secure_s: float
     msg_secure_s: float
+    join_work: dict[str, float] = field(default_factory=dict)
+    msg_work: dict[str, float] = field(default_factory=dict)
 
 
+@fresh_registry()
 def policy_ablation(policies: dict[str, SecurityPolicy] | None = None,
                     msg_size: int = 10_000,
                     link: LinkModel = LAN_2009,
                     cpu_scale: float = 1.0) -> list[PolicyAblationRow]:
     """A2: how key size / cipher suite choices move the secure costs."""
     if policies is None:
-        from repro.crypto import envelope
-
         policies = {
             "rsa1024+chacha(oaep)": SecurityPolicy(rsa_bits=1024),
             "rsa1024+aes-cbc(v1.5)": SecurityPolicy(
@@ -387,7 +459,7 @@ def policy_ablation(policies: dict[str, SecurityPolicy] | None = None,
         }
     rows = []
     for label, policy in policies.items():
-        policy = policy.validate()
+        policy = stateless(policy)
         net, admin, broker, clients = fixtures.build_secure_world(
             n_clients=2, link=link, policy=policy,
             seed=b"a2-" + label.encode())
@@ -408,5 +480,6 @@ def policy_ablation(policies: dict[str, SecurityPolicy] | None = None,
             label=label, rsa_bits=policy.rsa_bits,
             suite=policy.envelope_suite,
             join_secure_s=join_t.total_s,
-            msg_secure_s=mean_total(msg)))
+            msg_secure_s=mean_total(msg),
+            join_work=work_per_op([join_t]), msg_work=work_per_op(msg)))
     return rows

@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from repro import obs
 from repro.bench.fixtures import build_secure_world, fresh_network
-from repro.bench.msgfast import _restore_registry, _swap_registry, bench_policy
+from repro.bench.msgfast import bench_policy
 from repro.bench.report import format_checks
+from repro.bench.timing import fresh_registry
 from repro.crypto.drbg import HmacDrbg
 from repro.jxta.advertisements import FileAdvertisement
 from repro.jxta.messages import Message
@@ -160,8 +160,7 @@ def _heal_probe(net, brokers, clients) -> float | None:
 
 
 def fed_cell(n_brokers: int, n_clients: int = N_CLIENTS) -> FedCell:
-    registry, saved = _swap_registry()
-    try:
+    with fresh_registry() as registry:
         net, root, brokers, clients = _build_cluster(n_brokers, n_clients)
         shares, lo, hi = _share_spread(brokers)
         total = sum(shares.values())
@@ -177,14 +176,11 @@ def fed_cell(n_brokers: int, n_clients: int = N_CLIENTS) -> FedCell:
             redirect_rate=round(redirects / lookups, 3) if lookups else 0.0,
             max_redirects_per_lookup=worst, link_entries_sent=link_sent,
             relink_entries_sent=relink_sent, heal_convergence_s=heal)
-    finally:
-        _restore_registry(saved)
 
 
 def secure_reject_probe() -> dict:
     """Unsigned frames die in the secure stack, foreign ones in the plain."""
-    registry, saved = _swap_registry()
-    try:
+    with fresh_registry() as registry:
         net, admin, broker, clients = build_secure_world(
             n_clients=1, policy=bench_policy(True), joined=True)
         client = clients[0]
@@ -197,11 +193,8 @@ def secure_reject_probe() -> dict:
         forged_present = bool([
             e for e in broker.control.cache.find("FileAdvertisement")
             if e.parsed.file_name == "evil"])
-    finally:
-        _restore_registry(saved)
 
-    registry, saved = _swap_registry()
-    try:
+    with fresh_registry() as registry:
         net = fresh_network()
         root = HmacDrbg(b"bench-fed-foreign")
         database = UserDatabase(root.fork(b"db"))
@@ -219,8 +212,6 @@ def secure_reject_probe() -> dict:
         foreign_present = bool([
             e for e in plain.control.cache.find("FileAdvertisement")
             if e.parsed.file_name == "evil"])
-    finally:
-        _restore_registry(saved)
     return {
         "unsigned_rejections": unsigned,
         "foreign_rejections": foreign,

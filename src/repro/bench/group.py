@@ -41,9 +41,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from repro.bench import fixtures
-from repro.bench.msgfast import _restore_registry, _swap_registry
 from repro.bench.report import format_checks
-from repro.bench.timing import timed_call
+from repro.bench.timing import fresh_registry, timed_call
 from repro.core.policy import SecurityPolicy
 from repro.crypto import envelope, signing
 from repro.overlay.broker import ConnectedPeer
@@ -185,8 +184,7 @@ def _measure_cast(net, registry, sender, messages: int) -> dict:
 
 
 def _cast_cell(size: int, n_brokers: int, messages: int = MESSAGES) -> CastCell:
-    registry, saved = _swap_registry()
-    try:
+    with fresh_registry() as registry:
         net, _admin, brokers, clients = fixtures.build_federated_secure_world(
             n_brokers, n_clients=2, policy=bench_policy(),
             seed=b"e-group|%d|%d" % (size, n_brokers))
@@ -198,15 +196,12 @@ def _cast_cell(size: int, n_brokers: int, messages: int = MESSAGES) -> CastCell:
         # after the join rotation; what follows is steady state.
         sender.secure_msg_peer_group(GROUP, "establish")
         stats = _measure_cast(net, registry, sender, messages)
-    finally:
-        _restore_registry(saved)
     return CastCell(group_size=size, brokers=n_brokers, **stats)
 
 
 def _legacy_cell(size: int, messages: int = MESSAGES) -> LegacyCell:
     """Iterated §4.3 baseline: size real members on one broker."""
-    registry, saved = _swap_registry()
-    try:
+    with fresh_registry() as registry:
         net, _admin, _broker, clients = fixtures.build_secure_world(
             n_clients=size, policy=bench_policy(cast=False),
             seed=b"e-group-legacy", joined=True)
@@ -230,8 +225,6 @@ def _legacy_cell(size: int, messages: int = MESSAGES) -> LegacyCell:
         finally:
             net.remove_tap(tap)
         rsa = sum(registry.count(n) - before_rsa[n] for n in _RSA)
-    finally:
-        _restore_registry(saved)
     return LegacyCell(
         group_size=size, messages=messages,
         sender_frames_per_cast=tap.frames / messages,

@@ -8,7 +8,8 @@ declares gated rows keeps its committed reference run at
 ``benchmarks/baselines/BENCH_<NAME>.json``.  :func:`regressions` compares
 a fresh document with that baseline row by row, and :func:`gate` does
 the same for two files.  ``python -m repro.bench --experiment NAME
-[--quick] [--gate]`` is the command line in front of all of it.
+[--quick] [--gate]`` is the command line in front of all of it; with no
+``--experiment`` it runs the paper's section 5, :data:`PAPER_EXPERIMENTS`.
 
 Only counts of work and virtual-time figures from the simulator clock
 are gated: they are deterministic, so one bound holds on any machine.
@@ -22,8 +23,17 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.bench import faults, federation, group, msgfast, profile, scale
+from repro.bench import (
+    evaluation,
+    faults,
+    federation,
+    group,
+    msgfast,
+    profile,
+    scale,
+)
 from repro.bench.paths import baseline_path
+from repro.bench.timing import WORK_COUNTS
 
 RULES = ("max", "min", "exact")
 KINDS = ("count", "virtual")
@@ -107,6 +117,18 @@ class Experiment:
     rows: tuple[Gated, ...] = ()
 
 
+def _work_rows(section: str | None, key: tuple[str, ...],
+               *variants: str) -> tuple[Gated, ...]:
+    """Each variant's ``<variant>_work`` counts per operation: exact, so
+    a run that falls back to another path (resumed frames, say) fails;
+    bytes may grow 20% (sealed frames vary by a few bytes)."""
+    return tuple(
+        Gated(section, key, f"{variant}_work.{count}",
+              "max" if count == "bytes" else "exact",
+              0.20 if count == "bytes" else 0.0)
+        for variant in variants for count in WORK_COUNTS)
+
+
 _GROUP_CELL = ("group_size", "brokers")
 _GROUP_SWEEPS = ("size_sweep", "broker_sweep")
 
@@ -114,6 +136,27 @@ _GROUP_SWEEPS = ("size_sweep", "broker_sweep")
 #: names; ``tests/bench/test_experiment_registry.py`` keeps the two in
 #: sync (same drift-gate idea as the PROTOCOLS.md frame catalogue).
 EXPERIMENTS: dict[str, Experiment] = {
+    # the paper's section 5 (repro.bench.evaluation), on its stateless path
+    # E1: the join overhead (81.76% in the paper) + the link-profile sweep
+    "e1": Experiment(evaluation.e1_report, evaluation.format_e1,
+                     _work_rows(None, (), "plain", "secure")),
+    # E2: Figure 2, secureMsgPeer overhead vs data length
+    "e2": Experiment(evaluation.e2_report, evaluation.format_e2,
+                     _work_rows("points", ("size_bytes",), "plain", "secure")),
+    # A1: crypto micro-costs (wall clock only, so no baseline)
+    "a1": Experiment(evaluation.a1_report, evaluation.format_a1),
+    # A2: key size and cipher suite on the join and a message
+    "a2": Experiment(evaluation.a2_report, evaluation.format_a2,
+                     _work_rows("rows", ("label",), "join", "msg")),
+    # A3: secureMsgPeerGroup as the group grows
+    "a3": Experiment(evaluation.a3_report, evaluation.format_a3,
+                     _work_rows("points", ("group_size",), "plain", "secure")),
+    # A4: stateless vs TLS vs CBJX over an N-message conversation
+    "a4": Experiment(evaluation.a4_report, evaluation.format_a4,
+                     _work_rows("points", ("n_messages",),
+                                "stateless", "tls", "cbjx")),
+    # E-OBS: the registry's per-primitive distributions
+    "obs": Experiment(evaluation.obs_report, evaluation.format_obs_report),
     # E-FAULT: frame-loss sweep + broker-crash recovery
     "fault": Experiment(faults.fault_report, faults.format_fault_report),
     # E-FED: sharded-federation sweep
@@ -134,7 +177,7 @@ EXPERIMENTS: dict[str, Experiment] = {
         profile.hotpath_report, profile.format_hotpath, tuple(
             Gated("layers", ("layer",), f"per_msg.{count}", "max",
                   0.20 if count == "bytes" else 0.0)
-            for count in profile.WORK_COUNTS)),
+            for count in WORK_COUNTS)),
     # E-MSGFAST: secure-messaging fast paths + the link-scheduler wire sweep
     "msgfast": Experiment(msgfast.msgfast_report, msgfast.format_msgfast, (
         Gated("wire_sweep", ("mode", "load"), "bytes_per_msg", "max", 0.20),
@@ -152,6 +195,10 @@ EXPERIMENTS: dict[str, Experiment] = {
               measure=scale.reject_total, only="siege"),
     )),
 }
+
+
+#: what ``python -m repro.bench`` runs with no ``--experiment``
+PAPER_EXPERIMENTS = ("e1", "e2", "a1", "a2", "a3", "a4", "obs")
 
 
 def regressions(name: str, fresh: dict, baseline: dict) -> list[str]:

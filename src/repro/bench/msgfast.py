@@ -37,10 +37,9 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from repro import obs
 from repro.bench import fixtures
 from repro.bench.report import format_checks
-from repro.bench.timing import timed_call
+from repro.bench.timing import WORK_COUNTS, fresh_registry, mean_total, timed_call
 from repro.core.policy import SecurityPolicy
 from repro.crypto import envelope, signing
 from repro.net import linkq
@@ -98,26 +97,9 @@ class SweepCell:
         return self.rsa_private_ops + self.rsa_public_ops
 
 
-def _swap_registry() -> tuple[obs.Registry, tuple]:
-    registry = obs.Registry(enabled=True)
-    saved = (obs.get_registry(), obs.get_tracer(), obs.get_events())
-    obs.set_registry(registry)
-    obs.set_tracer(obs.Tracer(registry=registry))
-    obs.set_events(obs.ProtocolEvents(registry=registry))
-    return registry, saved
-
-
-def _restore_registry(saved: tuple) -> None:
-    obs.set_registry(saved[0])
-    obs.set_tracer(saved[1])
-    obs.set_events(saved[2])
-
-
-def _measure(net, registry: obs.Registry, send, messages: int) -> dict:
-    """Run ``messages`` sends, returning counter deltas + mean cost."""
-    before = {name: registry.count(name) for name in _RSA_COUNTERS}
-    resumed_before = registry.count("crypto.resume.seal")
-    total_s = 0.0
+def _measure(net, send, messages: int) -> dict:
+    """Run ``messages`` sends, returning their summed work + mean cost."""
+    timings = []
     delivered = 0
     for _ in range(messages):
         result = {}
@@ -125,19 +107,16 @@ def _measure(net, registry: obs.Registry, send, messages: int) -> dict:
         def one_send():
             result["n"] = send()
 
-        timing = timed_call(net, one_send)
-        total_s += timing.total_s
+        timings.append(timed_call(net, one_send))
         delivered += int(result["n"])
+    done = {key: sum(t.work[key] for t in timings) for key in WORK_COUNTS}
     return {
         "delivered": delivered,
-        "rsa_private_ops": registry.count("crypto.rsa.private_op")
-        - before["crypto.rsa.private_op"],
-        "rsa_public_ops": registry.count("crypto.rsa.public_op")
-        - before["crypto.rsa.public_op"],
-        "rsa_verify_ops": registry.count("crypto.rsa.verify_op")
-        - before["crypto.rsa.verify_op"],
-        "resumed_frames": registry.count("crypto.resume.seal") - resumed_before,
-        "mean_ms_per_msg": total_s / messages * 1e3 if messages else 0.0,
+        "rsa_private_ops": done["rsa_private"],
+        "rsa_public_ops": done["rsa_public"],
+        "rsa_verify_ops": done["rsa_verify"],
+        "resumed_frames": done["resume_seal"],
+        "mean_ms_per_msg": mean_total(timings) * 1e3,
     }
 
 
@@ -147,19 +126,16 @@ def group_sweep(sizes=GROUP_SIZES, messages: int = 3) -> list[SweepCell]:
     for fast in (False, True):
         policy = bench_policy(fast)
         for size in sizes:
-            registry, saved = _swap_registry()
-            try:
+            with fresh_registry():
                 net, _admin, _broker, clients = fixtures.build_secure_world(
                     n_clients=size + 1, policy=policy,
                     seed=b"e-msgfast-group", joined=True)
                 sender = clients[0]
                 stats = _measure(
-                    net, registry,
+                    net,
                     lambda: sender.secure_msg_peer_group(
                         "bench", "fast-path probe"),
                     messages)
-            finally:
-                _restore_registry(saved)
             cells.append(SweepCell(fast=fast, group_size=size,
                                    messages=messages, **stats))
     return cells
@@ -171,19 +147,16 @@ def rate_sweep(counts=RATE_COUNTS) -> list[SweepCell]:
     for fast in (False, True):
         policy = bench_policy(fast)
         for count in counts:
-            registry, saved = _swap_registry()
-            try:
+            with fresh_registry():
                 net, _admin, _broker, clients = fixtures.build_secure_world(
                     n_clients=2, policy=policy,
                     seed=b"e-msgfast-rate", joined=True)
                 sender, receiver = clients
                 stats = _measure(
-                    net, registry,
+                    net,
                     lambda: sender.secure_msg_peer(
                         str(receiver.peer_id), "bench", "rate probe"),
                     count)
-            finally:
-                _restore_registry(saved)
             cells.append(SweepCell(fast=fast, group_size=1,
                                    messages=count, **stats))
     return cells
@@ -195,8 +168,7 @@ def steady_state_probe(messages: int = 8) -> dict:
     The acceptance criterion: after the first (establishing) envelope,
     every resumed send costs **zero** RSA operations end to end.
     """
-    registry, saved = _swap_registry()
-    try:
+    with fresh_registry() as registry:
         net, _admin, _broker, clients = fixtures.build_secure_world(
             n_clients=2, policy=bench_policy(True),
             seed=b"e-msgfast-steady", joined=True)
@@ -209,8 +181,6 @@ def steady_state_probe(messages: int = 8) -> dict:
             if sender.secure_msg_peer(str(receiver.peer_id), "bench", "steady"))
         deltas = {name: registry.count(name) - before[name]
                   for name in _RSA_COUNTERS}
-    finally:
-        _restore_registry(saved)
     return {
         "resumed_messages": messages,
         "delivered": delivered,
@@ -287,11 +257,8 @@ def wire_sweep(messages: int = WIRE_MESSAGES) -> list[WireCell]:
     cells: list[WireCell] = []
     for mode in WIRE_MODES:
         for load in WIRE_LOADS:
-            _registry, saved = _swap_registry()
-            try:
+            with fresh_registry():
                 cells.append(_wire_cell(mode, load, messages=messages))
-            finally:
-                _restore_registry(saved)
     return cells
 
 

@@ -30,13 +30,12 @@ it.  ``--cprofile [N]`` runs N steady-state resumed sends under
 from __future__ import annotations
 
 import json
-import time
 from pathlib import Path
 
-from repro import obs
 from repro.bench import fixtures, paths
-from repro.bench.msgfast import _restore_registry, _swap_registry, bench_policy
-from repro.bench.report import format_checks
+from repro.bench.msgfast import bench_policy
+from repro.bench.report import format_checks, triple
+from repro.bench.timing import fresh_registry, timed_call, work_per_op
 
 #: where CI keeps the committed reference run
 BASELINE_PATH = paths.baseline_path("hotpath")
@@ -50,53 +49,32 @@ END_MARK = "<!-- END GENERATED LAYER COST TABLE -->"
 #: payload every ladder row sends (a chat-sized frame)
 _PAYLOAD_TEXT = "hot-path probe " * 4
 
-#: per-message work counts read from each row's registry, by report key
-REGISTRY_COUNTS = {
-    "rsa_private": "crypto.rsa.private_op",
-    "rsa_public": "crypto.rsa.public_op",
-    "rsa_verify": "crypto.rsa.verify_op",
-    "envelope_seal": "crypto.envelope.seal",
-    "envelope_open": "crypto.envelope.open",
-    "resume_seal": "crypto.resume.seal",
-    "resume_open": "crypto.resume.open",
-}
 
-#: every gated per-message count; all but ``bytes`` must not rise at all
-WORK_COUNTS = ("frames", "bytes", *REGISTRY_COUNTS)
-
-
-def _work(net, registry: obs.Registry) -> dict[str, int]:
-    """Cumulative work so far: the simulator's traffic and the counters."""
-    work = {"frames": net.stats.frames_sent, "bytes": net.stats.bytes_sent}
-    for key, name in REGISTRY_COUNTS.items():
-        work[key] = registry.count(name)
-    return work
-
-
-def _measure_sends(send, messages: int, net, registry: obs.Registry) -> dict:
+def _measure_sends(send, messages: int, net) -> dict:
     """Wall-clock a send loop and count its work per message.
 
     Throughput is real CPU seconds, not simulated time (the simulated
     network adds no wall cost).  Frames and bytes come from the
     simulator's own traffic stats, which it keeps whether or not the
-    row records metrics; the crypto counts come from ``registry``.
+    row records metrics; the crypto counts come from the row's registry.
     """
-    before = _work(net, registry)
     delivered = 0
-    t0 = time.perf_counter()
-    for _ in range(messages):
-        if send():
-            delivered += 1
-    wall_s = time.perf_counter() - t0
-    after = _work(net, registry)
+
+    def loop() -> None:
+        nonlocal delivered
+        for _ in range(messages):
+            if send():
+                delivered += 1
+
+    timing = timed_call(net, loop)
+    wall_s = timing.wall_cpu_s
     return {
         "messages": messages,
         "delivered": delivered,
         "wall_s": round(wall_s, 6),
         "ms_per_msg": round(wall_s / messages * 1e3, 4) if messages else 0.0,
         "msgs_per_sec": round(messages / wall_s, 2) if wall_s else 0.0,
-        "per_msg": {key: round((after[key] - before[key]) / messages, 3)
-                    for key in WORK_COUNTS},
+        "per_msg": work_per_op([timing], messages),
     }
 
 
@@ -140,13 +118,10 @@ def layer_ladder(messages: int = 60) -> list[dict]:
     rows: list[dict] = []
 
     def _run(layer: str, build, obs_enabled: bool) -> None:
-        registry, saved = _swap_registry()
-        registry.enabled = obs_enabled
-        try:
+        with fresh_registry() as registry:
+            registry.enabled = obs_enabled
             net, send = build()
-            stats = _measure_sends(send, messages, net, registry)
-        finally:
-            _restore_registry(saved)
+            stats = _measure_sends(send, messages, net)
         rows.append({"layer": layer, **stats})
 
     def plain_send(wire: bool):
@@ -203,10 +178,6 @@ def hotpath_report(quick: bool = False) -> dict:
     }
 
 
-def _triple(per_msg: dict, *keys: str) -> str:
-    return "/".join(f"{per_msg[key]:g}" for key in keys)
-
-
 def format_hotpath(data: dict) -> str:
     lines = [
         "E-HOTPATH: the layer ladder (wall clock is information only)",
@@ -220,9 +191,9 @@ def format_hotpath(data: dict) -> str:
             f"  {row['layer']:<22}  {row['msgs_per_sec']:>9.1f}  "
             f"{row['ms_per_msg']:>8.2f}  {row['x_vs_plain']:>7.2f}x  "
             f"{n['frames']:>6g}  {n['bytes']:>7g}  "
-            f"{_triple(n, 'rsa_private', 'rsa_public', 'rsa_verify'):>11}  "
-            f"{_triple(n, 'envelope_seal', 'envelope_open'):>7}  "
-            f"{_triple(n, 'resume_seal', 'resume_open'):>7}")
+            f"{triple(n, 'rsa_private', 'rsa_public', 'rsa_verify'):>11}  "
+            f"{triple(n, 'envelope_seal', 'envelope_open'):>7}  "
+            f"{triple(n, 'resume_seal', 'resume_open'):>7}")
     lines += ["", *format_checks("E-HOTPATH", data["checks"])]
     return "\n".join(lines)
 
@@ -247,9 +218,9 @@ def render_layer_table(data: dict) -> str:
             f"| {row['layer']} | {row['msgs_per_sec']:.1f} | "
             f"{row['ms_per_msg']:.2f} | {row['x_vs_plain']:.2f}x | "
             f"{n['frames']:g} | {n['bytes']:g} | "
-            f"{_triple(n, 'rsa_private', 'rsa_public', 'rsa_verify')} | "
-            f"{_triple(n, 'envelope_seal', 'envelope_open')} | "
-            f"{_triple(n, 'resume_seal', 'resume_open')} |")
+            f"{triple(n, 'rsa_private', 'rsa_public', 'rsa_verify')} | "
+            f"{triple(n, 'envelope_seal', 'envelope_open')} | "
+            f"{triple(n, 'resume_seal', 'resume_open')} |")
     return "\n".join(lines) + "\n"
 
 
@@ -310,8 +281,7 @@ def run_cprofile(messages: int = 300, top: int = 20) -> int:
     import cProfile
     import pstats
 
-    registry, saved = _swap_registry()
-    try:
+    with fresh_registry():
         _net, sender, receiver = _steady_world(b"e-hotpath-cprofile")
         peer = str(receiver.peer_id)
         profiler = cProfile.Profile()
@@ -319,8 +289,6 @@ def run_cprofile(messages: int = 300, top: int = 20) -> int:
         for _ in range(messages):
             sender.secure_msg_peer(peer, "bench", _PAYLOAD_TEXT)
         profiler.disable()
-    finally:
-        _restore_registry(saved)
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative").print_stats(top)
     return 0

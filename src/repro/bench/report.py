@@ -25,6 +25,11 @@ def format_checks(experiment: str, checks: dict) -> list[str]:
     return lines
 
 
+def triple(counts: dict, *keys: str) -> str:
+    """Work counts joined with slashes, e.g. RSA private/public/verify."""
+    return "/".join(f"{counts[key]:g}" for key in keys)
+
+
 def _ms(seconds: float) -> str:
     return f"{seconds * 1e3:9.3f} ms"
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import json
 import time
 
-from repro.bench.msgfast import _restore_registry, _swap_registry
+from repro.bench.timing import fresh_registry
 from repro.core.policy import SecurityPolicy
 from repro.crypto import envelope, signing
 from repro.crypto.drbg import HmacDrbg
@@ -182,15 +182,12 @@ def _checks(report: dict, adversaries: dict, engine: ScenarioEngine,
 def scale_report(quick: bool = False) -> dict:
     """The complete E-SCALE document."""
     population = POPULATION_QUICK if quick else POPULATION
-    registry, saved = _swap_registry()
     started = time.perf_counter()
-    try:
+    with fresh_registry() as registry:
         scn, pool, engine = _build_world(quick)
         phases, adversaries = _phases(quick)
         run = engine.run(phases)
         checks = _checks(run, adversaries, engine, population)
-    finally:
-        _restore_registry(saved)
     return {
         "experiment": "E-SCALE",
         "quick": quick,

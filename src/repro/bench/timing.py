@@ -1,4 +1,4 @@
-"""Measuring protocol operations in simulated time.
+"""Measuring protocol operations in simulated time and in counted work.
 
 The model (see :mod:`repro.sim.clock`): an operation's virtual duration is
 
@@ -9,16 +9,68 @@ where ``wall_cpu`` is the *measured* real time of the synchronous call
 ``network_time`` is the modeled link transit accumulated by the simulated
 network during the call.  ``cpu_scale`` lets experiments impersonate
 slower hosts (the paper used a 1.2 GHz Pentium M).
+
+Work is counted rather than timed: :func:`fresh_registry` swaps in an
+empty observability registry for the duration of a measurement, and
+:func:`work` reads the simulator's traffic and the registry's crypto
+counters, so the difference of two readings is exactly the work done in
+between.  Every :func:`timed_call` records that difference, and the
+gates compare it, because it is the same on any machine.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Callable
+from contextlib import contextmanager
+from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 from repro import obs
 from repro.sim.network import SimNetwork
+
+#: per-operation work counts read from the registry, by report key
+REGISTRY_COUNTS = {
+    "rsa_private": "crypto.rsa.private_op",
+    "rsa_public": "crypto.rsa.public_op",
+    "rsa_verify": "crypto.rsa.verify_op",
+    "envelope_seal": "crypto.envelope.seal",
+    "envelope_open": "crypto.envelope.open",
+    "resume_seal": "crypto.resume.seal",
+    "resume_open": "crypto.resume.open",
+}
+
+#: every work count: the simulator's traffic, then the registry counts
+WORK_COUNTS = ("frames", "bytes", *REGISTRY_COUNTS)
+
+
+@contextmanager
+def fresh_registry() -> Iterator[obs.Registry]:
+    """Swap in an empty, enabled registry (with its tracer and events).
+
+    The previous registry, tracer and event bus come back on exit, so
+    the counters inside the block cover exactly the work done there.
+    Also usable as a decorator.
+    """
+    registry = obs.Registry(enabled=True)
+    saved = (obs.get_registry(), obs.get_tracer(), obs.get_events())
+    obs.set_registry(registry)
+    obs.set_tracer(obs.Tracer(registry=registry))
+    obs.set_events(obs.ProtocolEvents(registry=registry))
+    try:
+        yield registry
+    finally:
+        obs.set_registry(saved[0])
+        obs.set_tracer(saved[1])
+        obs.set_events(saved[2])
+
+
+def work(network: SimNetwork, registry: obs.Registry) -> dict[str, int]:
+    """Cumulative work so far: the simulator's traffic and the counters."""
+    counts = {"frames": network.stats.frames_sent,
+              "bytes": network.stats.bytes_sent}
+    for key, name in REGISTRY_COUNTS.items():
+        counts[key] = registry.count(name)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -28,6 +80,8 @@ class OpTiming:
     wall_cpu_s: float
     network_s: float
     cpu_scale: float
+    #: the work the call did, by :data:`WORK_COUNTS` key
+    work: dict[str, int] = field(default_factory=dict)
 
     @property
     def total_s(self) -> float:
@@ -35,41 +89,42 @@ class OpTiming:
 
 
 def timed_call(network: SimNetwork, fn: Callable[[], object],
-               cpu_scale: float = 1.0, name: str | None = None) -> OpTiming:
-    """Run ``fn`` and split its cost into CPU and modeled network time.
-
-    Passing ``name`` additionally records the virtual total as a
-    ``bench.<name>.total_ms`` histogram in the observability registry, so
-    experiment samples land in ``BENCH_OBS.json`` alongside the
-    per-primitive metrics.
-    """
+               cpu_scale: float = 1.0) -> OpTiming:
+    """Run ``fn``; split its cost into CPU and modeled network time and
+    count the work it did (in the current registry)."""
+    registry = obs.get_registry()
+    before = work(network, registry)
     net0 = network.clock.network_time
     t0 = time.perf_counter()
     fn()
     wall = time.perf_counter() - t0
-    timing = OpTiming(
+    after = work(network, registry)
+    return OpTiming(
         wall_cpu_s=wall,
         network_s=network.clock.network_time - net0,
         cpu_scale=cpu_scale,
+        work={key: after[key] - before[key] for key in WORK_COUNTS},
     )
-    if name is not None:
-        obs.get_registry().observe(f"bench.{name}.total_ms",
-                                   timing.total_s * 1e3)
-    return timing
 
 
 def repeat_timed(network: SimNetwork, fn: Callable[[], object],
                  repeats: int, cpu_scale: float = 1.0,
-                 warmup: int = 1, name: str | None = None) -> list[OpTiming]:
+                 warmup: int = 1) -> list[OpTiming]:
     """Warm up (JIT-ish caches, advertisement validation) then measure."""
     for _ in range(warmup):
         fn()
-    return [timed_call(network, fn, cpu_scale, name=name)
-            for _ in range(repeats)]
+    return [timed_call(network, fn, cpu_scale) for _ in range(repeats)]
 
 
 def mean_total(timings: list[OpTiming]) -> float:
     return sum(t.total_s for t in timings) / len(timings) if timings else 0.0
+
+
+def work_per_op(timings: list[OpTiming], ops: int = 1) -> dict[str, float]:
+    """Mean work of one operation when each timing covers *ops* of them."""
+    calls = len(timings) * ops
+    return {key: round(sum(t.work[key] for t in timings) / calls, 3)
+            for key in WORK_COUNTS}
 
 
 def overhead_pct(secure_s: float, plain_s: float) -> float:

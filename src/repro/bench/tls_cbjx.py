@@ -2,7 +2,9 @@
 
 The TLS handshake is pushed through real network frames so its round
 trips are charged to the virtual clock, exactly like the secure
-primitives' exchanges.
+primitives' exchanges.  After it, records travel one way, like a
+secureMsgPeer or a CBJX datagram, so all three mechanisms are timed on
+the same one-way delivery.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ _T_KEYEX = b"\x02"
 _T_RECORD = b"\x03"
 
 
-class TlsEchoServer:
-    """A raw endpoint that performs the TLS handshake and echoes records."""
+class TlsRecordServer:
+    """A raw endpoint that performs the TLS handshake and receives records."""
 
     def __init__(self, network: SimNetwork, address: str, keys: KeyPair,
                  drbg: HmacDrbg) -> None:
@@ -30,6 +32,7 @@ class TlsEchoServer:
         self.keys = keys
         self._drbg = drbg
         self._sessions: dict[str, TlsServer] = {}
+        self.received: list[bytes] = []
         network.register(address, self._on_frame)
 
     def _on_frame(self, frame: Frame) -> bytes | None:
@@ -45,15 +48,13 @@ class TlsEchoServer:
             return _T_KEYEX + server.finish(body)
         if tag == _T_RECORD:
             server = self._sessions.get(frame.src)
-            if server is None or server.record is None:
-                return None
-            plain = server.record.unprotect(body)
-            return _T_RECORD + server.record.protect(plain)
+            if server is not None and server.record is not None:
+                self.received.append(server.record.unprotect(body))
         return None
 
 
 class TlsClientDriver:
-    """Client side: handshake over the network, then echo round trips."""
+    """Client side: handshake over the network, then one-way records."""
 
     def __init__(self, network: SimNetwork, address: str, server_address: str,
                  drbg: HmacDrbg) -> None:
@@ -76,16 +77,13 @@ class TlsClientDriver:
             raise TransportError("unexpected TLS handshake response")
         self.client.verify_finish(finish_resp[1:])
 
-    def echo(self, payload: bytes) -> bytes:
-        """One protected round trip over the established channel."""
+    def send(self, payload: bytes) -> bool:
+        """One protected record over the established channel."""
         if self.client.record is None:
             raise TransportError("TLS channel not established")
         record = self.client.record.protect(payload)
-        resp = self.network.request(self.address, self.server_address,
-                                    _T_RECORD + record)
-        if resp[:1] != _T_RECORD:
-            raise TransportError("unexpected TLS record response")
-        return self.client.record.unprotect(resp[1:])
+        return self.network.send(self.address, self.server_address,
+                                 _T_RECORD + record)
 
 
 class CbjxEchoPair:

@@ -30,8 +30,6 @@ class SecurityPolicy:
     credential_lifetime: float = 86400.0
     #: challenge size for secureConnection (bytes)
     challenge_bytes: int = 32
-    #: cache signed-advertisement validation results by (peer, group)
-    cache_validated_advs: bool = True
     #: LRU bound on the validated-advertisement cache (entries)
     adv_cache_entries: int = 256
     #: refuse plain primitives once the secure session is up

@@ -86,8 +86,7 @@ class SecureClientPeer(ClientPeer):
         self.peer_id = self.keystore.cbid
         self.revocation_checker = RevocationChecker()
         self.validator = AdvertisementValidator(
-            trust_anchor, enable_cache=policy.cache_validated_advs,
-            revocation=self.revocation_checker,
+            trust_anchor, revocation=self.revocation_checker,
             max_entries=policy.adv_cache_entries)
         # Fast-path session state: what we send on (keyed by recipient key
         # fingerprint) and what we accept (keyed by sid).  The receiver

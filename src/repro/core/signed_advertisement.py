@@ -12,9 +12,9 @@ credential chain.  This single mechanism gives the scheme:
   credential's key, so nobody can sign advertisements for someone else's
   id.
 
-Validation results can be cached per advertisement identity (policy knob
-``cache_validated_advs``) because the cache stores the *exact canonical
-bytes* that validated — a changed advertisement misses the cache.
+Validation results are cached per advertisement identity because the
+cache stores the *exact canonical bytes* that validated — a changed
+advertisement misses the cache.
 """
 
 from __future__ import annotations
@@ -84,10 +84,9 @@ class AdvertisementValidator:
     arrive after an advertisement was first validated).
     """
 
-    def __init__(self, trust_anchor: Credential, enable_cache: bool = True,
-                 revocation=None, max_entries: int = 256) -> None:
+    def __init__(self, trust_anchor: Credential, revocation=None,
+                 max_entries: int = 256) -> None:
         self.trust_anchor = trust_anchor
-        self.enable_cache = enable_cache
         self.revocation = revocation
         self.max_entries = max_entries
         self._cache: OrderedDict[bytes, ValidatedAdvertisement] = OrderedDict()
@@ -107,22 +106,21 @@ class AdvertisementValidator:
            binding and validity windows of every link),
         3. the advertisement's PeerId equals the leaf credential subject.
         """
-        digest = sha256(canonicalize(element)) if self.enable_cache else b""
-        if self.enable_cache:
-            hit = self._cache.get(digest)
-            if hit is not None:
-                # Expiry and revocation must still be honoured on hits.
-                try:
-                    hit.credential.check_validity_window(now)
-                except CredentialError:
-                    del self._cache[digest]
-                else:
-                    if self.revocation is not None:
-                        self.revocation.check_chain(hit.chain)
-                    self._cache.move_to_end(digest)
-                    self.cache_hits += 1
-                    return hit
-            self.cache_misses += 1
+        digest = sha256(canonicalize(element))
+        hit = self._cache.get(digest)
+        if hit is not None:
+            # Expiry and revocation must still be honoured on hits.
+            try:
+                hit.credential.check_validity_window(now)
+            except CredentialError:
+                del self._cache[digest]
+            else:
+                if self.revocation is not None:
+                    self.revocation.check_chain(hit.chain)
+                self._cache.move_to_end(digest)
+                self.cache_hits += 1
+                return hit
+        self.cache_misses += 1
 
         try:
             chain = self._extract_chain(element)
@@ -145,13 +143,12 @@ class AdvertisementValidator:
         result = ValidatedAdvertisement(
             advertisement=parsed, credential=leaf, chain=chain,
             element=element.deep_copy())
-        if self.enable_cache:
-            self._cache[digest] = result
-            self._cache.move_to_end(digest)
-            while len(self._cache) > self.max_entries:
-                self._cache.popitem(last=False)
-                self.cache_evictions += 1
-                obs.get_registry().incr("core.adv_cache.evictions")
+        self._cache[digest] = result
+        self._cache.move_to_end(digest)
+        while len(self._cache) > self.max_entries:
+            self._cache.popitem(last=False)
+            self.cache_evictions += 1
+            obs.get_registry().incr("core.adv_cache.evictions")
         return result
 
     def _extract_chain(self, element: Element) -> list[Credential]:

@@ -144,12 +144,10 @@ METRIC_PATTERNS: tuple[str, ...] = (
     # wire-boundary rejections (wire/boundary.py)
     "wire.reject.oversize",
     "wire.reject.<msg_type>.<reason>",
-    # bench-harness samples (bench/timing.py); <path> may contain dots
-    "bench.<path>.total_ms",
 )
 
 _SEGMENT = r"[A-Za-z0-9_\-]+"        # one dot-free name segment
-_PATH = r"[A-Za-z0-9_.\-]+"          # dotted span/bench paths
+_PATH = r"[A-Za-z0-9_.\-]+"          # dotted span paths
 
 
 @functools.lru_cache(maxsize=None)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.tls_cbjx import CbjxEchoPair, TlsClientDriver, TlsEchoServer
+from repro.bench.tls_cbjx import CbjxEchoPair, TlsClientDriver, TlsRecordServer
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import TransportError
 from repro.sim import SimNetwork, VirtualClock
@@ -15,21 +15,31 @@ def net():
 
 
 class TestTlsDriver:
-    def test_handshake_and_echo(self, net, kp1024):
-        TlsEchoServer(net, "srv", kp1024, HmacDrbg(b"s"))
+    def test_handshake_and_records(self, net, kp1024):
+        server = TlsRecordServer(net, "srv", kp1024, HmacDrbg(b"s"))
         driver = TlsClientDriver(net, "cli", "srv", HmacDrbg(b"c"))
         driver.handshake()
-        assert driver.echo(b"payload") == b"payload"
-        assert driver.echo(b"second") == b"second"  # sequence advances
+        assert driver.send(b"payload")
+        assert driver.send(b"second")  # sequence advances
+        assert server.received == [b"payload", b"second"]
 
-    def test_echo_before_handshake_rejected(self, net, kp1024):
-        TlsEchoServer(net, "srv", kp1024, HmacDrbg(b"s"))
+    def test_record_is_one_way(self, net, kp1024):
+        TlsRecordServer(net, "srv", kp1024, HmacDrbg(b"s"))
+        driver = TlsClientDriver(net, "cli", "srv", HmacDrbg(b"c"))
+        driver.handshake()
+        frames = net.stats.frames_sent
+        driver.send(b"payload")
+        assert net.stats.frames_sent - frames == 1
+
+    def test_send_before_handshake_rejected(self, net, kp1024):
+        server = TlsRecordServer(net, "srv", kp1024, HmacDrbg(b"s"))
         driver = TlsClientDriver(net, "cli", "srv", HmacDrbg(b"c"))
         with pytest.raises(TransportError):
-            driver.echo(b"too early")
+            driver.send(b"too early")
+        assert server.received == []
 
     def test_handshake_charges_network_time(self, net, kp1024):
-        TlsEchoServer(net, "srv", kp1024, HmacDrbg(b"s"))
+        TlsRecordServer(net, "srv", kp1024, HmacDrbg(b"s"))
         driver = TlsClientDriver(net, "cli", "srv", HmacDrbg(b"c"))
         net0 = net.clock.network_time
         driver.handshake()
@@ -37,13 +47,14 @@ class TestTlsDriver:
         assert net.clock.network_time - net0 >= 4 * net.default_link.latency_s
 
     def test_multiple_clients_one_server(self, net, kp1024):
-        TlsEchoServer(net, "srv", kp1024, HmacDrbg(b"s"))
+        server = TlsRecordServer(net, "srv", kp1024, HmacDrbg(b"s"))
         a = TlsClientDriver(net, "cli-a", "srv", HmacDrbg(b"a"))
         b = TlsClientDriver(net, "cli-b", "srv", HmacDrbg(b"b"))
         a.handshake()
         b.handshake()
-        assert a.echo(b"from-a") == b"from-a"
-        assert b.echo(b"from-b") == b"from-b"
+        a.send(b"from-a")
+        b.send(b"from-b")
+        assert server.received == [b"from-a", b"from-b"]
 
 
 class TestCbjxPair:

@@ -87,7 +87,7 @@ def test_row_fires_exactly_at_its_bound(name, row):
         assert regressions(name, fresh, baseline) == []
 
 
-@pytest.mark.parametrize("name", ["fault", "fed"])
+@pytest.mark.parametrize("name", ["fault", "fed", "a1", "obs"])
 def test_gate_without_baseline_exits_2(name, capsys):
     assert main(["--experiment", name, "--gate"]) == 2
     assert "no committed baseline" in capsys.readouterr().err

@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 from repro.bench import harness, profile
+from repro.bench.timing import WORK_COUNTS
 
 
 def _per_msg(**overrides: float) -> dict:
-    counts = {key: 0.0 for key in profile.WORK_COUNTS}
+    counts = {key: 0.0 for key in WORK_COUNTS}
     counts.update(frames=1.0, bytes=440.0)
     counts.update(overrides)
     return counts

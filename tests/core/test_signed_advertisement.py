@@ -135,7 +135,7 @@ class TestRejection:
 
 class TestCache:
     def test_cache_hits_on_repeat(self, alice_chain, anchor):
-        validator = AdvertisementValidator(anchor, enable_cache=True)
+        validator = AdvertisementValidator(anchor)
         elem = sign_advertisement(_alice_adv(), ALICE.private, alice_chain)
         validator.validate(elem, now=1.0)
         validator.validate(elem, now=2.0)
@@ -143,7 +143,7 @@ class TestCache:
         assert validator.cache_misses == 1
 
     def test_modified_adv_misses_cache(self, alice_chain, anchor):
-        validator = AdvertisementValidator(anchor, enable_cache=True)
+        validator = AdvertisementValidator(anchor)
         elem = sign_advertisement(_alice_adv(), ALICE.private, alice_chain)
         validator.validate(elem, now=1.0)
         tampered = elem.deep_copy()
@@ -152,7 +152,7 @@ class TestCache:
             validator.validate(tampered, now=1.0)
 
     def test_cached_entry_still_expires(self, broker_cred, anchor):
-        validator = AdvertisementValidator(anchor, enable_cache=True)
+        validator = AdvertisementValidator(anchor)
         short = issue_credential(
             BROKER.private, cbid_from_key(BROKER.public), "B0",
             ALICE.public, "alice", 0.0, 5.0)
@@ -161,15 +161,8 @@ class TestCache:
         with pytest.raises(TamperedAdvertisementError):
             validator.validate(elem, now=100.0)
 
-    def test_cache_disabled(self, alice_chain, anchor):
-        validator = AdvertisementValidator(anchor, enable_cache=False)
-        elem = sign_advertisement(_alice_adv(), ALICE.private, alice_chain)
-        validator.validate(elem, now=1.0)
-        validator.validate(elem, now=1.0)
-        assert validator.cache_hits == 0
-
     def test_invalidate(self, alice_chain, anchor):
-        validator = AdvertisementValidator(anchor, enable_cache=True)
+        validator = AdvertisementValidator(anchor)
         elem = sign_advertisement(_alice_adv(), ALICE.private, alice_chain)
         validator.validate(elem, now=1.0)
         validator.invalidate()
