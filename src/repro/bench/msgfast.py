@@ -14,8 +14,9 @@ baseline (both fast paths off — exactly what ``ERA_2009_POLICY`` ships):
   steady state.
 * **wire sweep** — transport-level bytes-on-wire and frames-per-wire-unit
   under the link-layer send scheduler (:mod:`repro.net.linkq`): burst vs
-  trickle load across legacy framing, adaptive batching, and batching
-  with negotiated zlib compression.  Everything here is measured on the
+  trickle load across uncorked sends ("legacy", one wire unit per
+  send), corked batching, and batching with negotiated zlib
+  compression.  Everything here is measured on the
   virtual-time simulator, so the numbers are deterministic and the
   ``--gate`` regression check (see below) compares them across machines
   without noise tolerance games.
@@ -35,6 +36,7 @@ a >20% regression (the rows live in :mod:`repro.bench.harness`).
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 from repro.bench import fixtures
@@ -42,7 +44,6 @@ from repro.bench.report import format_checks
 from repro.bench.timing import WORK_COUNTS, fresh_registry, mean_total, timed_call
 from repro.core.policy import SecurityPolicy
 from repro.crypto import envelope, signing
-from repro.net import linkq
 from repro.sim.network import SimNetwork
 
 #: group sizes of the fan-out sweep (recipients per message)
@@ -220,11 +221,7 @@ def _wire_cell(mode: str, load: str,
     net = SimNetwork()
     received: list[bytes] = []
     net.register("rx", lambda frame: received.append(frame.payload) or None)
-    policy = linkq.LinkPolicy()
-    # "legacy" is the transport without a link scheduler: the wire the
-    # pre-scheduler code produced.
-    if mode != "legacy":
-        net.configure_links(policy)
+    policy = net.scheduler.policy
     if mode == "batched+zlib":
         net.set_link_compression("tx", "rx", 6)
     payloads = _wire_payloads(messages)
@@ -232,7 +229,8 @@ def _wire_cell(mode: str, load: str,
     bytes0 = net.stats.bytes_sent
     t0 = net.clock.now
     if load == "burst":
-        with net.corked():
+        # "legacy" is the same burst without a cork: one unit per send.
+        with net.corked() if mode != "legacy" else nullcontext():
             for payload in payloads:
                 net.send("tx", "rx", payload)
     else:
@@ -280,7 +278,7 @@ def _wire_checks(cells: list[WireCell]) -> dict:
         "wire_compression_shrinks_bytes":
             zlib_cell.bytes_on_wire < batched.bytes_on_wire,
         # Single-frame flushes reuse the legacy framing byte-for-byte, so
-        # trickle traffic is identical whether the scheduler is on or off.
+        # an idle link's trickle is the same wire in every mode.
         "wire_trickle_byte_identical":
             batched_trickle.bytes_on_wire == legacy_trickle.bytes_on_wire
             and batched_trickle.wire_units == legacy_trickle.wire_units,

@@ -227,6 +227,7 @@ class SecureBroker(Broker):
         except Exception:
             self.metrics.incr("fn.secure_connect.malformed")
             return self._fail(sc.CONNECT_FAIL, "malformed challenge")
+        self.sids.sweep()
         sid = self.sids.issue(src)
         return sc.build_connect_response(
             chall, sid, self.keystore.keys.private, self.keystore.chain,

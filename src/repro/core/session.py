@@ -8,11 +8,13 @@ secureConnection and *consumes it exactly once* during secureLogin:
     process continues."
 
 Replaying a captured login blob therefore fails — the sid inside it is
-gone.  Sids also expire so the store cannot grow without bound.
+gone.  Sids also expire, and the broker sweeps the expired ones before
+each issue, so the store cannot grow without bound.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.crypto.drbg import HmacDrbg
@@ -39,7 +41,7 @@ class SidStore:
         self._clock = clock
         self._drbg = drbg
         self.lifetime = lifetime
-        self._pending: dict[str, _PendingSid] = {}
+        self._pending: OrderedDict[str, _PendingSid] = OrderedDict()
         self.issued_total = 0
         self.replays_blocked = 0
 
@@ -74,12 +76,17 @@ class SidStore:
         self._pending.clear()
 
     def sweep(self) -> int:
-        """Drop expired sids; returns how many were removed."""
+        """Drop expired sids; returns how many were removed.
+
+        Issue order is expiry order, so popping from the front until the
+        first live sid costs O(expired), not O(outstanding).
+        """
         now = self._clock.now
-        stale = [k for k, v in self._pending.items() if now > v.expires_at]
-        for k in stale:
-            del self._pending[k]
-        return len(stale)
+        removed = 0
+        while self._pending and now > next(iter(self._pending.values())).expires_at:
+            self._pending.popitem(last=False)
+            removed += 1
+        return removed
 
     @property
     def outstanding(self) -> int:

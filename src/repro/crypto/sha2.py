@@ -1,8 +1,8 @@
 """SHA-256 / SHA-224 implemented from scratch (FIPS 180-4).
 
 The test suite cross-checks this implementation against :mod:`hashlib` on
-random inputs; at runtime the rest of the package uses *this* code so the
-whole crypto stack is self-contained.
+random inputs; the one-shot :func:`sha256` / :func:`sha224` the rest of
+the package calls use :mod:`hashlib` itself.
 
 The implementation follows the spec directly: message schedule expansion,
 64-round compression over eight 32-bit working variables.  It is a streaming
@@ -121,45 +121,23 @@ class SHA224(SHA256):
 
 
 # ---------------------------------------------------------------------------
-# One-shot API with a switchable backend.
+# One-shot API.
 #
 # The pure-Python implementation above is the *reference*: the test suite
 # proves it bit-identical to hashlib on random and structured inputs.  The
-# one-shot functions below default to the verified-equivalent hashlib
-# backend because profiling showed SHA-256 dominating every protocol path
-# (HMAC-DRBG, MGF1, digests) — the classic "optimize the measured
-# bottleneck" move.  ``set_backend("pure")`` switches everything back to
-# the from-scratch code (used by the equivalence tests and available for
-# auditing runs).
+# one-shot functions below call the verified-equivalent hashlib because
+# profiling showed SHA-256 dominating every protocol path (HMAC-DRBG,
+# MGF1, digests).
 # ---------------------------------------------------------------------------
 
 import hashlib as _hashlib
 
-_BACKEND = "accelerated"
-_VALID_BACKENDS = ("accelerated", "pure")
-
-
-def set_backend(name: str) -> None:
-    """Select the one-shot hash backend: "accelerated" or "pure"."""
-    global _BACKEND
-    if name not in _VALID_BACKENDS:
-        raise ValueError(f"unknown sha2 backend {name!r}; pick from {_VALID_BACKENDS}")
-    _BACKEND = name
-
-
-def get_backend() -> str:
-    return _BACKEND
-
 
 def sha256(data: bytes) -> bytes:
-    """One-shot SHA-256 digest (backend-switchable, see module note)."""
-    if _BACKEND == "accelerated":
-        return _hashlib.sha256(data).digest()
-    return SHA256(data).digest()
+    """One-shot SHA-256 digest (hashlib; see the note above)."""
+    return _hashlib.sha256(data).digest()
 
 
 def sha224(data: bytes) -> bytes:
-    """One-shot SHA-224 digest (backend-switchable, see module note)."""
-    if _BACKEND == "accelerated":
-        return _hashlib.sha224(data).digest()
-    return SHA224(data).digest()
+    """One-shot SHA-224 digest (hashlib; see the note above)."""
+    return _hashlib.sha224(data).digest()

@@ -69,7 +69,7 @@ class Endpoint:
     # -- link scheduling -----------------------------------------------------
 
     def configure_links(self, policy=None, *, breaker_factory=None):
-        """Install (or retune) the transport's shared link scheduler.
+        """Set the policy (and breakers) of the transport's link scheduler.
 
         Returns the :class:`~repro.net.linkq.LinkScheduler`.
         """
@@ -78,8 +78,9 @@ class Endpoint:
     def corked(self):
         """Coalesce sends inside the context into shared wire units.
 
-        A no-op context until the transport has a link scheduler, so
-        fan-out loops may cork unconditionally.
+        A no-op context on a socket transport before ``configure_links``
+        (the simulator always has its scheduler), so fan-out loops may
+        cork unconditionally.
         """
         return self.net.corked()
 

@@ -90,12 +90,12 @@ class Transport(Protocol):
       the exchange fails or the responder does not answer.
 
     The link layer is part of the contract too: :meth:`configure_links`
-    installs the transport's one link scheduler (a later call only
-    swaps its policy), :meth:`corked` coalesces the sends inside it (a
-    no-op context before ``configure_links``), and
-    :meth:`set_link_compression` records a negotiated zlib level,
-    raising :class:`~repro.errors.NetworkError` when no scheduler is
-    installed.
+    sets the policy (and breakers) of the transport's one link
+    scheduler, :meth:`corked` coalesces the sends inside it, and
+    :meth:`set_link_compression` records a negotiated zlib level.  A
+    socket transport builds its scheduler on the first
+    ``configure_links``; before it, :meth:`corked` is a no-op context
+    and :meth:`set_link_compression` raises ``NetworkError``.
     """
 
     clock: TransportClock

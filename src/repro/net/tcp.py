@@ -133,30 +133,28 @@ class TcpTransport:
 
     def configure_links(self, policy: linkq.LinkPolicy | None = None, *,
                         breaker_factory=None) -> linkq.LinkScheduler:
-        """Install the link scheduler, or retune the installed one.
+        """Build the link scheduler on first use, then set its policy.
 
-        Datagrams to a busy link coalesce into BATCH wire units — one
-        ``writer.write`` per flush — with the adaptive window armed as
-        an event-loop timer; an idle link still flushes immediately,
-        so request/response latency is untouched.  Every endpoint on
-        this transport shares the scheduler, so a later call only swaps
-        in ``policy``: queues, negotiated compression levels and
-        circuit breakers survive.
+        Opt-in on sockets: without it each datagram is one direct
+        ``writer.write`` (an always-on scheduler measured about +50% p90
+        latency on E-E2E ``chat``).  With it, datagrams to a busy link
+        coalesce into BATCH wire units — one ``writer.write`` per flush
+        — with the adaptive window armed as an event-loop timer; an idle
+        link still flushes immediately.  A later call only sets
+        ``policy`` and a given ``breaker_factory``; link state survives.
         """
         policy = policy if policy is not None else linkq.LinkPolicy()
         with self._lock:
-            if self.scheduler is not None:
-                self.scheduler.policy = policy
-                return self.scheduler
-            self.scheduler = linkq.LinkScheduler(
-                policy,
-                clock_now=lambda: self.clock.now,
-                send_single=lambda src, dst, payload: self._wire_send(
-                    src, dst, framing.KIND_DATA, payload),
-                send_batch=lambda src, dst, payload: self._wire_send(
-                    src, dst, framing.KIND_BATCH, payload),
-                breaker_factory=breaker_factory,
-                defer=self._arm_flush_timer)
+            if self.scheduler is None:
+                self.scheduler = linkq.LinkScheduler(
+                    policy,
+                    clock_now=lambda: self.clock.now,
+                    send_single=lambda src, dst, payload: self._wire_send(
+                        src, dst, framing.KIND_DATA, payload),
+                    send_batch=lambda src, dst, payload: self._wire_send(
+                        src, dst, framing.KIND_BATCH, payload),
+                    defer=self._arm_flush_timer)
+            self.scheduler.configure(policy, breaker_factory=breaker_factory)
             return self.scheduler
 
     def _arm_flush_timer(self, delay: float, callback) -> None:
@@ -544,6 +542,7 @@ class TcpTransport:
         """
         if self.scheduler is not None:
             self.scheduler.flush_for(address)
+            self.scheduler.forget(address)
         with self._lock:
             state = self._endpoints.pop(address, None)
             self._directory.pop(address, None)

@@ -32,21 +32,21 @@ SUPPORTED_CODECS = ("zlib",)
 
 
 class LinkCapsMixin:
-    """Opt-in link batching plus the capability exchange, both sides."""
+    """Link-scheduler policy plus the capability exchange, both sides."""
 
     #: link-layer tuning; ``None`` until :meth:`enable_link_batching`
     link_policy: LinkPolicy | None = None
 
     def enable_link_batching(self, policy: LinkPolicy | None = None, *,
                              breaker_factory=None):
-        """Install a link scheduler on this entity's transport.
+        """Set this entity's link policy and per-link circuit breakers.
 
-        Returns the scheduler.  The transport has one scheduler for all
-        of its endpoints: the first call installs it, a later one (from
-        any node on the same transport) only swaps in its policy and
-        keeps every link already negotiated.  Batching stays off until
-        some node calls this — the legacy one-frame-per-send wire is
-        the default.
+        Returns the transport's one link scheduler, shared by all of its
+        endpoints; the call swaps in ``policy`` and the breaker factory
+        and keeps every link already negotiated.  The simulator always
+        runs its scheduler; a socket transport builds it here, and sends
+        one direct write per datagram until some node calls this.
+        Either way a node only offers compression after this call.
         """
         policy = policy if policy is not None else DEFAULT_LINK_POLICY
         self.link_policy = policy

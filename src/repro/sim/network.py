@@ -28,22 +28,21 @@ as every endpoint of a process shares one
   synthesized from the first frame a peer delivers to a registration,
   and every peer seen is "closed" at unregister time, which is when a
   socket backend would drop the connections of a vanishing endpoint;
-* **link scheduling** — after :meth:`SimNetwork.configure_links` one
-  :class:`~repro.net.linkq.LinkScheduler` sits between :meth:`send`
-  and delivery.  Datagrams issued *inside* a handler (the window
-  :attr:`SimNetwork.op_depth` exposes) or under :meth:`corked` coalesce
-  into one simulated delivery per BATCH wire unit — taps, interceptors
-  and the link model see the batch as a single frame, exactly as a
-  socket would carry it — and the scheduler is drained when the
-  outermost operation completes, so every queued frame is delivered
-  before simulation code regains control.  Top-level sends outside a
-  cork flush immediately as legacy single-frame units, so an unbatched
-  caller cannot tell the scheduler is there.
+* **link scheduling** — one :class:`~repro.net.linkq.LinkScheduler`,
+  built with the network, sits between :meth:`send` and delivery.
+  Datagrams sent *inside* a handler or under :meth:`corked` queue and
+  coalesce into one simulated delivery per BATCH wire unit (taps,
+  interceptors and the link model see one frame, as a socket would
+  carry it), drained when the outermost operation completes.  So a
+  datagram reaches a handler only after that handler's running call
+  returns, as on a socket; only a nested request's ordering barrier
+  can ship one sooner, and :attr:`SimNetwork.reentrant_deliveries`
+  counts those.  Nested *requests* run inside the requesting handler.
+  Top-level sends outside a cork ship at once as single-frame units.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -127,8 +126,21 @@ class SimNetwork:
         self.stats = NetworkStats()
         #: nesting depth of in-flight send/request calls (drain boundary)
         self._op_depth = 0
-        #: the link scheduler every send goes through, once configured
-        self.scheduler: LinkScheduler | None = None
+        #: addresses whose handler is running, innermost last
+        self._running: list[str] = []
+        #: datagrams delivered to an address whose handler was running
+        self.reentrant_deliveries = 0
+        # linkq is imported where it is used: repro.net.framing imports
+        # repro.jxta, which imports this package back.
+        from repro.net import linkq
+
+        #: the one link scheduler every datagram goes through
+        self.scheduler: LinkScheduler = linkq.LinkScheduler(
+            linkq.LinkPolicy(),
+            clock_now=lambda: self.clock.now,
+            send_single=self._transmit,
+            send_batch=lambda src, dst, payload: self._transmit(
+                src, dst, SIM_BATCH_MAGIC + payload))
 
     # -- topology -----------------------------------------------------------
 
@@ -146,10 +158,10 @@ class SimNetwork:
         obs.get_registry().set_gauge("net.endpoints", len(self._handlers))
 
     def unregister(self, address: str) -> None:
-        """Detach an endpoint: ship what it queued, then close its peers."""
-        if self.scheduler is not None:
-            self.scheduler.flush_for(address)
-            self._drain()
+        """Detach an endpoint: ship its queue, drop its links, close its peers."""
+        self.scheduler.flush_for(address)
+        self._drain()
+        self.scheduler.forget(address)
         lifecycle = self._lifecycles.pop(address, None)
         self._handlers.pop(address, None)
         obs.get_registry().set_gauge("net.endpoints", len(self._handlers))
@@ -187,63 +199,28 @@ class SimNetwork:
         self._interceptors.remove(interceptor)
 
     # -- link scheduling -------------------------------------------------------
-    # repro.net.linkq and repro.net.framing are imported where they are
-    # used: framing imports repro.jxta, which imports this package back.
 
     def configure_links(self, policy: LinkPolicy | None = None, *,
                         breaker_factory=None) -> LinkScheduler:
-        """Install the link scheduler, or retune the installed one.
+        """Set the policy (and, given a factory, the breakers) of the scheduler.
 
-        The first call creates the network's one
-        :class:`~repro.net.linkq.LinkScheduler`.  A later call only
-        swaps in ``policy``: queues, negotiated compression levels and
-        circuit breakers survive, so one node enabling batching never
-        drops the link state another node already negotiated.
+        Queues, negotiated compression levels and the breakers already
+        built survive, so one node enabling batching never drops the
+        link state another node already negotiated.
         """
         from repro.net import linkq
 
-        policy = policy if policy is not None else linkq.LinkPolicy()
-        if self.scheduler is not None:
-            self.scheduler.policy = policy
-            return self.scheduler
-        self.scheduler = linkq.LinkScheduler(
-            policy,
-            clock_now=lambda: self.clock.now,
-            send_single=self._ship_unit,
-            send_batch=lambda src, dst, payload: self._ship_unit(
-                src, dst, SIM_BATCH_MAGIC + payload),
+        self.scheduler.configure(
+            policy if policy is not None else linkq.LinkPolicy(),
             breaker_factory=breaker_factory)
         return self.scheduler
 
-    def _ship_unit(self, src: str, dst: str, payload: bytes) -> bool:
-        try:
-            return self._transmit(src, dst, payload)
-        except NetworkError:
-            # The destination vanished after the frame was queued: a
-            # best-effort datagram loss, not a caller error.
-            return False
-
     def corked(self):
         """Batch every send inside the context into shared wire units."""
-        if self.scheduler is None:
-            return nullcontext()
         return self.scheduler.corked()
 
     def set_link_compression(self, src: str, dst: str, level: int) -> None:
-        if self.scheduler is None:
-            raise NetworkError("configure_links() before negotiating compression")
         self.scheduler.set_link_compression(src, dst, level)
-
-    @property
-    def op_depth(self) -> int:
-        """How many send/request calls are on the stack right now.
-
-        Depth > 0 means delivery is happening *inside* a handler of an
-        outer operation — the window in which the link scheduler may
-        coalesce frames without changing observable ordering, because
-        the drain below runs before the outermost call returns.
-        """
-        return self._op_depth
 
     def _end_op(self) -> None:
         self._op_depth -= 1
@@ -251,9 +228,8 @@ class SimNetwork:
 
     def _drain(self) -> None:
         """Ship every queued frame once no operation is in flight."""
-        scheduler = self.scheduler
-        if self._op_depth == 0 and scheduler is not None and not scheduler.corked_now:
-            scheduler.flush_all()
+        if self._op_depth == 0 and not self.scheduler.corked_now:
+            self.scheduler.flush_all()
 
     # -- delivery -------------------------------------------------------------
 
@@ -274,28 +250,29 @@ class SimNetwork:
         Raises :class:`NetworkError` only for an unknown *original*
         destination; adversarial drops and link loss return ``False`` —
         datagrams are best-effort, exactly like JXTA pipe messages.
-        With a link scheduler the frame is queued instead and ``True``
-        means it was accepted.
+        A frame sent inside a handler or a cork is queued instead, and
+        ``True`` means it was accepted.
         """
-        scheduler = self.scheduler
-        if scheduler is None:
-            return self._transmit(src, dst, payload)
         if dst not in self._handlers:
             raise NetworkError(f"no endpoint registered at {dst!r}")
         # Coalesce only where delivery order stays observable: inside a
         # handler of an in-flight network op (drained before the
         # outermost call returns) or under an explicit cork.
-        accepted = scheduler.enqueue(src, dst, payload,
-                                     coalesce=self._op_depth > 0)
+        accepted = self.scheduler.enqueue(src, dst, payload,
+                                          coalesce=self._op_depth > 0)
         # What the receiving handlers queued while this frame was
         # flushed must not wait for the next operation.
         self._drain()
         return accepted
 
     def _transmit(self, src: str, dst: str, payload: bytes) -> bool:
-        """Put one wire unit on the link and deliver it."""
+        """Put one wire unit on the link and deliver it.
+
+        A destination that vanished after the unit was queued is a
+        best-effort datagram loss, not a caller error.
+        """
         if dst not in self._handlers:
-            raise NetworkError(f"no endpoint registered at {dst!r}")
+            return False
         self._op_depth += 1
         try:
             frame = Frame(src=src, dst=dst, payload=bytes(payload), sent_at=self.clock.now)
@@ -307,7 +284,9 @@ class SimNetwork:
                 self.stats.record(out, delivered=False)
                 return False
             self.stats.record(out, delivered=True)
-            self._handlers[out.dst](out)
+            if out.dst in self._running:
+                self.reentrant_deliveries += 1
+            self._deliver(out)
             return True
         finally:
             self._end_op()
@@ -319,10 +298,9 @@ class SimNetwork:
         :meth:`VirtualClock.cpu_section`.  Raises :class:`NetworkError`
         when the request or the response is dropped or unanswered.
         """
-        if self.scheduler is not None:
-            # Ordering barrier: datagrams queued to this link must hit
-            # the wire before the request does.
-            self.scheduler.flush_link(src, dst)
+        # Ordering barrier: datagrams queued to this link must hit the
+        # wire before the request does.
+        self.scheduler.flush_link(src, dst)
         if dst not in self._handlers:
             raise NetworkError(f"no endpoint registered at {dst!r}")
         self._op_depth += 1
@@ -337,7 +315,7 @@ class SimNetwork:
                 raise NetworkError(f"request from {src!r} to {dst!r} was lost in transit")
             self.stats.record(out, delivered=True)
             with self.clock.cpu_section():
-                response = self._handlers[out.dst](out)
+                response = self._deliver(out)
             if response is None:
                 raise NetworkError(f"endpoint {out.dst!r} did not answer the request")
             back = Frame(src=out.dst, dst=src, payload=bytes(response), sent_at=self.clock.now)
@@ -352,6 +330,14 @@ class SimNetwork:
             return back_out.payload
         finally:
             self._end_op()
+
+    def _deliver(self, frame: Frame) -> bytes | None:
+        """Run the destination's handler, tracking which ones are running."""
+        self._running.append(frame.dst)
+        try:
+            return self._handlers[frame.dst](frame)
+        finally:
+            self._running.pop()
 
 
 def _hooked(handler: Handler, on_connect: PeerHook | None,

@@ -4,8 +4,9 @@ import pytest
 
 from repro.core import secure_connection as sc
 from repro.core.credentials import issue_credential, self_signed_credential
+from repro.core.session import DEFAULT_SID_LIFETIME
 from repro.crypto.drbg import HmacDrbg
-from repro.errors import BrokerAuthenticationError
+from repro.errors import BrokerAuthenticationError, ReplayError
 from repro.jxta.ids import cbid_from_key
 from tests.conftest import cached_keypair
 
@@ -123,3 +124,18 @@ class TestEndToEnd:
         with pytest.raises(BrokerAuthenticationError):
             secure_world.alice.secure_connect("broker:ghost")
         assert secure_world.alice.events.events_named("broker_rejected")
+
+
+class TestPendingSidBound:
+    def test_abandoned_connects_are_swept_on_the_next_issue(self, secure_world):
+        alice, sids = secure_world.alice, secure_world.broker.sids
+        abandoned = []
+        for _ in range(305):
+            alice.secure_connect("broker:0")
+            abandoned.append(alice.sid)
+        assert sids.outstanding == 305
+        secure_world.net.clock.advance(DEFAULT_SID_LIFETIME + 1.0)
+        alice.secure_connect("broker:0")
+        assert sids.outstanding == 1
+        with pytest.raises(ReplayError):
+            sids.consume(abandoned[0])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.sha2 import SHA224, SHA256, get_backend, set_backend, sha224, sha256
+from repro.crypto.sha2 import SHA224, SHA256
 
 # FIPS 180-4 / NIST example vectors
 VECTORS_256 = [
@@ -76,21 +76,3 @@ class TestStreaming:
             SHA256().update("text")  # type: ignore[arg-type]
 
 
-class TestBackends:
-    def test_default_is_accelerated(self):
-        assert get_backend() == "accelerated"
-
-    def test_backends_agree(self):
-        data = b"backend agreement check"
-        try:
-            set_backend("pure")
-            pure = sha256(data), sha224(data)
-            set_backend("accelerated")
-            accel = sha256(data), sha224(data)
-        finally:
-            set_backend("accelerated")
-        assert pure == accel
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            set_backend("gpu")

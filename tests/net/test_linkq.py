@@ -332,9 +332,8 @@ class TestLegacyByteIdentity:
         return seen
 
     def test_flag_off_reproduces_the_unscheduled_wire(self):
-        bare = self._deliveries(use_scheduler=False, corked=True)
         uncorked = self._deliveries(use_scheduler=True, corked=False)
-        assert uncorked == bare == [b"legacy-%d" % i for i in range(8)]
+        assert uncorked == [b"legacy-%d" % i for i in range(8)]
         assert all(not p.startswith(SIM_BATCH_MAGIC) for p in uncorked)
 
     def test_flag_on_batches_the_same_traffic(self):
@@ -359,6 +358,17 @@ class TestSimDrain:
                 net.send("alice", "broker", b"m%d" % i)
         assert got == [b"fwd:m0", b"fwd:m1", b"fwd:m2"]
         assert net.scheduler.pending_frames() == 0
+
+    def test_request_from_a_flushed_handler_follows_its_datagram(self):
+        # a's handler runs inside the flush of the top-level send; its
+        # request to b must still ship the datagram queued ahead of it.
+        net = SimNetwork(clock=VirtualClock())
+        got: list[bytes] = []
+        net.register("b", lambda frame: got.append(frame.payload) or b"ok")
+        net.register("a", lambda frame: net.send("a", "b", b"datagram")
+                     and net.request("a", "b", b"request") and None)
+        net.send("driver", "a", b"go")
+        assert got == [b"datagram", b"request"]
 
 
 class TestSharedTransport:
@@ -400,6 +410,74 @@ class TestSharedTransport:
         finally:
             for node in (alice, bob, broker):
                 node.control.close()
+            if backend == "tcp":
+                net.close()
+
+
+class TestRetuning:
+    """A later ``configure_links`` keeps link state and installs its factory."""
+
+    def test_enable_link_batching_arms_the_simulators_breakers(self):
+        net = SimNetwork(clock=VirtualClock())
+        root = HmacDrbg(b"retuned-breakers")
+        Broker(net, "broker:0", UserDatabase(root.fork(b"db")),
+               root.fork(b"br"), name="B0").enable_link_batching(LinkPolicy())
+        net.register("peer:gone", lambda frame: None)
+        seen: list[bytes] = []
+        net.add_interceptor(lambda frame: seen.append(frame.payload) and None)
+        for i in range(5):  # link_breaker_factory's failure threshold
+            assert net.send("broker:0", "peer:gone", b"lost-%d" % i) is False
+        # the tripped link refuses before the interceptor chain sees it
+        assert net.send("broker:0", "peer:gone", b"refused") is False
+        assert seen == [b"lost-%d" % i for i in range(5)]
+
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    def test_second_call_installs_its_breaker_factory(self, backend):
+        net = (SimNetwork() if backend == "sim"
+               else TcpTransport(request_timeout=10.0))
+        factory = link_breaker_factory(net.clock)
+        built: list[str] = []
+        try:
+            net.register("tx", lambda frame: None)
+            net.register("rx", lambda frame: None)
+            links = net.configure_links(LinkPolicy())
+            assert net.configure_links(
+                LinkPolicy(max_batch_frames=8),
+                breaker_factory=lambda dst: built.append(dst) or factory(dst),
+            ) is links
+            assert links.policy.max_batch_frames == 8
+            assert net.send("tx", "rx", b"guarded") is True
+            assert built == ["rx"]
+        finally:
+            if backend == "tcp":
+                net.close()
+
+
+class TestLinkStateBound:
+    """An endpoint that unregisters leaves no link state behind."""
+
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    def test_peers_that_come_and_go_leave_no_links(self, backend):
+        net = (SimNetwork() if backend == "sim"
+               else TcpTransport(request_timeout=10.0))
+        try:
+            for address in ("hub", "resident"):
+                net.register(address, lambda frame: None)
+            links = net.configure_links(
+                LinkPolicy(), breaker_factory=link_breaker_factory(net.clock))
+            assert net.send("resident", "hub", b"hello")
+            assert net.send("hub", "resident", b"welcome")
+            start = links.link_count
+            for i in range(16):
+                peer = f"peer:{i}"
+                net.register(peer, lambda frame: None)
+                assert net.send(peer, "hub", b"hello")
+                assert net.send("hub", peer, b"welcome")
+                net.set_link_compression("hub", peer, 6)
+                assert links.link_count > start
+                net.unregister(peer)
+            assert links.link_count == start
+        finally:
             if backend == "tcp":
                 net.close()
 

@@ -1,7 +1,7 @@
 """Mixed-capability federation: the link-caps exchange must degrade.
 
-One broker runs the link scheduler with zlib on, its federation peer
-runs the legacy one-frame-per-send wire.  The ``link_caps_req/ok``
+One broker enables link batching with zlib on, its federation peer
+never does, so it offers no compression.  The ``link_caps_req/ok``
 exchange has to settle on ``codec="none"`` (nobody may assume the other
 side can inflate), and the downgrade must be invisible one layer up:
 group-cast relay across the mixed link still delivers the identical
