@@ -28,7 +28,15 @@ The scheduler is transport-agnostic: backends inject ``send_single``
 ``send_batch`` (one coalesced wire unit) callbacks, plus an optional
 ``defer(delay, callback)`` timer hook (the TCP backend arms
 ``loop.call_later``; the simulator drains queues deterministically at
-the outermost network-operation boundary instead).
+the outermost network-operation boundary instead).  The callbacks run
+under the scheduler lock, so flushes are serialized.  The TCP backend's
+callbacks post the unit to its event loop and return when the link's
+connection is open and below its write-buffer high-water mark, so the
+lock is held for one encode and one post; on a first connect or above
+the mark they block until the loop has written and drained (socket
+backpressure reaches the producer there).  The simulator's callbacks
+deliver in place.  ``net.queue.depth`` is a running count, O(1) per
+send.
 
 Each transport has at most one scheduler, shared by every endpoint
 registered on it, with queues, compression levels and breakers keyed
@@ -152,6 +160,8 @@ class LinkScheduler:
         self._breakers: dict[str, object] = {}
         self._levels: dict[tuple[str, str], int] = {}
         self._cork_depth = 0
+        #: frames queued over all links (the ``net.queue.depth`` gauge)
+        self._depth = 0
         #: links being shipped right now (non-empty only mid-flush)
         self._flushing: set[tuple[str, str]] = set()
 
@@ -166,11 +176,14 @@ class LinkScheduler:
     def forget(self, address: str) -> None:
         """Drop every queue, level and breaker of an unregistered endpoint."""
         with self._lock:
-            for links in (self._queues, self._levels):
-                for link in [link for link in links if address in link]:
-                    del links[link]
+            dropped = 0
+            for link in [link for link in self._queues if address in link]:
+                dropped += len(self._queues.pop(link).frames)
+            for link in [link for link in self._levels if address in link]:
+                del self._levels[link]
             self._breakers.pop(address, None)
-            self._set_depth_gauge()
+            if dropped:
+                self._add_depth(-dropped)
 
     @property
     def link_count(self) -> int:
@@ -218,11 +231,9 @@ class LinkScheduler:
             breaker = self._breakers[dst] = self._breaker_factory(dst)
         return breaker
 
-    def _depth(self) -> int:
-        return sum(len(q.frames) for q in self._queues.values())
-
-    def _set_depth_gauge(self) -> None:
-        obs.get_registry().set_gauge("net.queue.depth", self._depth())
+    def _add_depth(self, delta: int) -> None:
+        self._depth += delta
+        obs.get_registry().set_gauge("net.queue.depth", self._depth)
 
     def enqueue(self, src: str, dst: str, payload: bytes,
                 coalesce: bool | None = None) -> bool:
@@ -273,12 +284,12 @@ class LinkScheduler:
             queue.frames.append(bytes(payload))
             queue.bytes += len(payload)
             queue.last_at = now
+            self._add_depth(1)
             if not coalesce:
                 return self._flush_queue(src, dst, queue)
             if (len(queue.frames) >= self.policy.max_batch_frames
                     or queue.bytes >= self.policy.max_batch_bytes):
                 return self._flush_queue(src, dst, queue)
-            self._set_depth_gauge()
             if self._defer is not None:
                 deadline = queue.first_at + self.policy.delay_for(
                     len(queue.frames))
@@ -308,10 +319,10 @@ class LinkScheduler:
                     size += len(payload)
                 unit, queue.frames = queue.frames[:take], queue.frames[take:]
                 queue.bytes -= size
+                self._add_depth(-take)
                 delivered = self._ship(src, dst, unit, size) and delivered
             queue.first_at = 0.0
             _M_FLUSH.incr()
-            self._set_depth_gauge()
             return delivered
         finally:
             self._flushing.discard(link)
@@ -394,6 +405,8 @@ class LinkScheduler:
 
     def pending_frames(self, src: str | None = None) -> int:
         """Queued frame count (all links, or one endpoint's)."""
+        if src is None:
+            return self._depth
         with self._lock:
             return sum(len(q.frames) for (qsrc, _), q in self._queues.items()
-                       if src is None or qsrc == src)
+                       if qsrc == src)

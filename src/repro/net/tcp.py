@@ -19,7 +19,24 @@ over real sockets:
 * ``REQUEST`` frames dispatch as independent tasks — concurrent
   requests on one connection are multiplexed by ``request_id`` — while
   ``DATA`` frames dispatch sequentially per connection, preserving the
-  per-link datagram ordering the simulator provides.
+  per-link datagram ordering the simulator provides;
+* outbound writes come in two kinds.  The link scheduler's wire units
+  and the ``REQUEST`` leg of :meth:`request` are **posted**: on a link
+  whose pooled connection is open and whose write buffer is below the
+  asyncio transport's high-water mark, the calling thread encodes the
+  frame, hands ``writer.write`` to the loop and returns, so a flush
+  holds the scheduler lock for one encode, not a loop round trip, and
+  a requester waits only for the response.  Everything else **blocks**
+  until the loop has written and drained: a first connect, a link over
+  the high-water mark (drain backpressure), and the unscheduled
+  datagram of :meth:`send`.  That last one could post too, but it would
+  shorten E-E2E ``e2_sweep``'s plain phase below the benchmark speed
+  probe's sampling interval; it waits for the probe fix (ROADMAP item
+  9).  Per-link order holds either way: the one loop runs posted
+  writes FIFO, a blocking write returns only once written, and the
+  scheduler lock serializes flushes.  A posted frame whose connection
+  closed before the loop reached it counts in ``net.tcp.frames_dropped``
+  (and fails its request at once).
 
 Delivery semantics match the simulator contract: :meth:`send` raises
 :class:`~repro.errors.NetworkError` for an address the directory does
@@ -73,6 +90,9 @@ class _Conn:
         self.write_lock = asyncio.Lock()
         self.pending: set[int] = set()  # request ids in flight on this conn
         self.reader_task: asyncio.Task | None = None
+        #: bytes handed to the loop by ``_post_frame`` and not yet written
+        self.posted = 0
+        self.posted_lock = threading.Lock()
 
 
 class TcpTransport:
@@ -149,9 +169,9 @@ class TcpTransport:
                 self.scheduler = linkq.LinkScheduler(
                     policy,
                     clock_now=lambda: self.clock.now,
-                    send_single=lambda src, dst, payload: self._wire_send(
+                    send_single=lambda src, dst, payload: self._send_unit(
                         src, dst, framing.KIND_DATA, payload),
-                    send_batch=lambda src, dst, payload: self._wire_send(
+                    send_batch=lambda src, dst, payload: self._send_unit(
                         src, dst, framing.KIND_BATCH, payload),
                     defer=self._arm_flush_timer)
             self.scheduler.configure(policy, breaker_factory=breaker_factory)
@@ -233,6 +253,20 @@ class TcpTransport:
     async def _serve_connection(self, address: str, state: _EndpointState,
                                 reader: asyncio.StreamReader,
                                 writer: asyncio.StreamWriter) -> None:
+        """Serve one inbound connection; ``close()`` cancels it quietly.
+
+        asyncio's ``connection_made`` done-callback asks the task for
+        its exception, which logs an error for a cancelled task, so the
+        cancellation ends here, after ``_serve_frames`` has cleaned up.
+        """
+        try:
+            await self._serve_frames(address, state, reader, writer)
+        except asyncio.CancelledError:
+            pass
+
+    async def _serve_frames(self, address: str, state: _EndpointState,
+                            reader: asyncio.StreamReader,
+                            writer: asyncio.StreamWriter) -> None:
         state.inbound.add(writer)
         write_lock = asyncio.Lock()
         peer_src: str | None = None
@@ -292,13 +326,22 @@ class TcpTransport:
             state.inbound.discard(writer)
             writer.close()
             if peer_src is not None and state.on_close is not None:
-                await self._loop_safe_hook(state.on_close, peer_src)
+                # Handed over, not awaited: close() cancels this task, and
+                # that must not cancel a hook no worker has picked up yet.
+                try:
+                    self._pool.submit(self._run_hook, state.on_close, peer_src)
+                except RuntimeError:
+                    pass  # pool already shut down
 
     async def _loop_safe_hook(self, hook: PeerHook, peer: str) -> None:
         """Run a lifecycle hook on the pool so it may touch the overlay."""
-        loop = asyncio.get_running_loop()
+        await asyncio.get_running_loop().run_in_executor(
+            self._pool, self._run_hook, hook, peer)
+
+    @staticmethod
+    def _run_hook(hook: PeerHook, peer: str) -> None:
         try:
-            await loop.run_in_executor(self._pool, hook, peer)
+            hook(peer)
         except Exception:
             obs.get_registry().incr("net.tcp.hook_errors")
 
@@ -427,6 +470,63 @@ class TcpTransport:
             conn.writer.write(out)
             await conn.writer.drain()
 
+    def _post_frame(self, src: str, dst: str, kind: int, req_id: int,
+                    payload: bytes) -> bool:
+        """Post one frame to the loop without waiting, if the link is ready.
+
+        Ready means a pooled connection is open and its write buffer,
+        counting frames already posted, stays within the asyncio
+        transport's high-water mark with this frame added.  Otherwise
+        nothing is posted and ``False`` tells the caller to write
+        through ``_write_frame`` and wait, which connects, reports a
+        refused connect and applies drain backpressure.  Posts run
+        FIFO on the one loop, so per-link order holds.
+        """
+        loop = self._loop
+        conn = self._conns.get((src, dst))
+        if loop is None or conn is None or conn.writer.is_closing():
+            return False
+        try:
+            out = framing.encode_frame(kind, req_id, src, payload)
+        except framing.FramingError:
+            return False  # the caller's write raises it as before
+        transport = conn.writer.transport
+        with conn.posted_lock:
+            if (transport.get_write_buffer_size() + conn.posted + len(out)
+                    > transport.get_write_buffer_limits()[1]):
+                return False
+            conn.posted += len(out)
+        if kind == framing.KIND_REQUEST:
+            # Before the post: the response may be read before it returns.
+            conn.pending.add(req_id)
+        try:
+            loop.call_soon_threadsafe(self._write_posted, conn, out, req_id,
+                                      len(payload))
+        except RuntimeError:  # the loop closed under us
+            with conn.posted_lock:
+                conn.posted -= len(out)
+            conn.pending.discard(req_id)
+            return False
+        return True
+
+    def _write_posted(self, conn: _Conn, out: bytes, req_id: int,
+                      size: int) -> None:
+        """Loop side of ``_post_frame``: write, or drop if the conn closed."""
+        with conn.posted_lock:
+            conn.posted -= len(out)
+        registry = obs.get_registry()
+        if conn.writer.is_closing():
+            registry.incr("net.tcp.frames_dropped")
+            conn.pending.discard(req_id)
+            entry = self._pending.pop(req_id, None) if req_id else None
+            if entry is not None and not entry[0].done():
+                entry[0].set_exception(NetworkError(
+                    f"connection from {conn.src!r} to {conn.dst!r} was lost"))
+            return
+        conn.writer.write(out)
+        registry.incr("net.tcp.frames_sent")
+        registry.incr("net.tcp.bytes_sent", size)
+
     # -- adversary surface ---------------------------------------------------
     # The tap/interceptor hooks of repro.net.adversary.  On sockets there
     # is no mid-wire vantage point, so the chain runs on the outbound
@@ -469,6 +569,11 @@ class TcpTransport:
         registry.incr("net.tcp.bytes_sent", len(payload))
         return True
 
+    def _send_unit(self, src: str, dst: str, kind: int, payload: bytes) -> bool:
+        """The link scheduler's wire: post when ready, else write and wait."""
+        return (self._post_frame(src, dst, kind, 0, bytes(payload))
+                or self._wire_send(src, dst, kind, payload))
+
     def send(self, src: str, dst: str, payload: bytes) -> bool:
         """Best-effort datagram; ``False`` when the connection fails."""
         self.location(dst)  # unknown destination raises, like the sim
@@ -505,16 +610,18 @@ class TcpTransport:
         future: concurrent.futures.Future = concurrent.futures.Future()
         self._pending[req_id] = (future, src)
         registry = obs.get_registry()
-        try:
-            self._run(self._write_frame(src, dst, framing.KIND_REQUEST,
-                                        req_id, bytes(payload)),
-                      self.connect_timeout)
-        except (NetworkError, OSError) as exc:
-            self._pending.pop(req_id, None)
-            raise NetworkError(
-                f"request from {src!r} to {dst!r} was dropped: {exc}") from exc
-        registry.incr("net.tcp.frames_sent")
-        registry.incr("net.tcp.bytes_sent", len(payload))
+        if not self._post_frame(src, dst, framing.KIND_REQUEST, req_id,
+                                bytes(payload)):
+            try:
+                self._run(self._write_frame(src, dst, framing.KIND_REQUEST,
+                                            req_id, bytes(payload)),
+                          self.connect_timeout)
+            except (NetworkError, OSError) as exc:
+                self._pending.pop(req_id, None)
+                raise NetworkError(
+                    f"request from {src!r} to {dst!r} was dropped: {exc}") from exc
+            registry.incr("net.tcp.frames_sent")
+            registry.incr("net.tcp.bytes_sent", len(payload))
         try:
             response = future.result(self.request_timeout)
         except concurrent.futures.TimeoutError as exc:
@@ -565,7 +672,6 @@ class TcpTransport:
                                  state: _EndpointState) -> None:
         if state.server is not None:
             state.server.close()
-            await state.server.wait_closed()
         for writer in list(state.inbound):
             writer.close()
         state.inbound.clear()
@@ -575,6 +681,10 @@ class TcpTransport:
                     conn.reader_task.cancel()
                 conn.writer.close()
                 self._conns.pop(key, None)
+        if state.server is not None:
+            # Last: from Python 3.12.1 this waits for every connection
+            # the server accepted to close, so they are closed above.
+            await state.server.wait_closed()
 
     async def _drain_tasks(self) -> None:
         tasks = [task for task in asyncio.all_tasks()

@@ -496,7 +496,9 @@ class Groupcast:
         endpoint = self.broker.control.endpoint
         replayed = 0
         with endpoint.corked():
-            for entry in shard.backlog:
+            # A snapshot: on sockets another worker may _store into the
+            # backlog while this replay is sending.
+            for entry in list(shard.backlog):
                 if entry.seq <= since or entry.epoch < floor:
                     continue
                 if entry.from_peer == peer_id:

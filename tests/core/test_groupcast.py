@@ -173,6 +173,37 @@ class TestStoreAndForward:
         texts = _texts(world.bob)
         assert "missed one" in texts and "missed two" in texts
 
+    def test_store_during_replay_replays_the_snapshot(self, cast_world):
+        """A cast stored mid-replay (another worker, on sockets) must not
+        break the replay loop with "deque mutated during iteration"."""
+        world = cast_world
+        world.alice.secure_create_group(GROUP)
+        world.bob.secure_join_group(GROUP)
+        world.bob.logout()
+        world.alice.secure_msg_peer_group(GROUP, "missed one")
+        world.alice.secure_msg_peer_group(GROUP, "missed two")
+        world.bob.secure_connect("broker:0")
+        world.bob.secure_login("bob", "pw-b")
+        groupcast = world.broker.groupcast
+        shard = groupcast._shard(GROUP)
+        endpoint = world.broker.control.endpoint
+        send = endpoint.send
+
+        def send_and_store(dst, message):
+            if len(shard.backlog) == 2:
+                last = shard.backlog[-1]
+                groupcast._store(shard, last.epoch, last.from_peer, last.env)
+            return send(dst, message)
+
+        endpoint.send = send_and_store
+        try:
+            assert world.bob.group_subscribe(GROUP) == 2
+        finally:
+            del endpoint.send
+        assert len(shard.backlog) == 3
+        texts = _texts(world.bob)
+        assert "missed one" in texts and "missed two" in texts
+
     def test_high_water_prevents_duplicate_replay(self, cast_world):
         world = cast_world
         world.alice.secure_create_group(GROUP)

@@ -10,6 +10,7 @@ deadlock-free drain on close.
 
 from __future__ import annotations
 
+import random
 import time
 from contextlib import nullcontext
 
@@ -250,6 +251,47 @@ class TestBackpressure:
             sched.enqueue("a", "b", b"two")
             assert fresh_obs.gauge("net.queue.depth").value == 2
         assert fresh_obs.gauge("net.queue.depth").value == 0
+
+    @pytest.mark.parametrize("overflow", ["defer", "drop"])
+    def test_depth_gauge_equals_a_recount_over_many_links(self, fresh_obs,
+                                                          overflow):
+        """The running depth never drifts from the queues it counts."""
+        rng = random.Random(f"depth-{overflow}")
+        sources = [f"src:{i}" for i in range(10)]
+        dests = [f"dst:{i}" for i in range(12)]         # 120 links
+        policy = LinkPolicy(max_queue_frames=6, max_batch_frames=8,
+                            overflow=overflow)
+        sched, _wire, clock = scheduler(policy)
+        gauge = fresh_obs.gauge("net.queue.depth")
+
+        def enqueue(src=None, dst=None):
+            clock.advance(rng.choice([0.0, 0.001, 0.01]))
+            sched.enqueue(src or rng.choice(sources), dst or rng.choice(dests),
+                          b"x", coalesce=rng.choice([None, True, False]))
+
+        def check():
+            recount = sum(sched.pending_frames(src) for src in sources)
+            assert gauge.value == recount == sched.pending_frames()
+
+        for _ in range(3000):
+            op = rng.choices(["enqueue", "corked", "flush_link", "flush_all",
+                              "forget"], weights=[70, 10, 10, 3, 7])[0]
+            if op == "enqueue":
+                enqueue()
+            elif op == "corked":
+                hot = (rng.choice(sources), rng.choice(dests))
+                with sched.corked():
+                    for _ in range(rng.randrange(1, 20)):
+                        enqueue(*(hot if rng.random() < 0.5 else ()))
+                        check()
+            elif op == "flush_link":
+                sched.flush_link(rng.choice(sources), rng.choice(dests))
+            elif op == "flush_all":
+                sched.flush_all()
+            else:
+                sched.forget(rng.choice(sources + dests))
+            check()
+        assert fresh_obs.count(f"net.queue.{overflow}") > 0
 
 
 class TestOutageIntegration:

@@ -13,13 +13,18 @@ from __future__ import annotations
 
 import gc
 import logging
+import socket
+import struct
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.errors import NetworkError
+from repro.net import framing
 from repro.net.base import Frame, Transport
+from repro.net.linkq import LinkPolicy
 from repro.net.tcp import TcpTransport
 from repro.sim import SimNetwork
 
@@ -208,6 +213,197 @@ class TestRequests:
             b"outer:pong:nested"
 
 
+class TestPostedWrites:
+    """Scheduled units and requests on a ready link are posted to the loop.
+
+    The caller does not wait for the write; these pin down what posting
+    must keep: per-link order, the drain bound on buffered bytes, breaker
+    feedback and prompt failure of a request whose connection dies.
+    """
+
+    def test_scheduled_datagrams_and_requests_keep_send_order(self, tcp):
+        got: list[bytes] = []
+
+        def handler(frame):
+            got.append(frame.payload)
+            return b"ok"
+
+        tcp.register("svc", handler)
+        tcp.configure_links()
+        sent: list[bytes] = []
+        for i in range(200):
+            assert tcp.send("peer:a", "svc", b"d%d" % i)
+            sent.append(b"d%d" % i)
+            if i % 10 == 9:
+                assert tcp.request("peer:a", "svc", b"r%d" % i) == b"ok"
+                sent.append(b"r%d" % i)
+        assert wait_for(lambda: len(got) == len(sent))
+        assert got == sent
+
+    def test_concurrent_senders_keep_their_own_order(self, tcp):
+        """Six threads post on one link under a short switch interval:
+        each thread's frames arrive in its send order and the link's
+        posted-byte count returns to zero."""
+        got: list[bytes] = []
+
+        def handler(frame):
+            got.append(frame.payload)
+            return b"ok"
+
+        tcp.register("svc", handler)
+        tcp.configure_links(LinkPolicy(idle_flush_s=0.0))   # every send posts
+        assert tcp.request("peer:a", "svc", b"warm") == b"ok"
+        expected = {t: [] for t in range(6)}
+
+        def sender(t):
+            for i in range(100):
+                payload = b"%d:d%d" % (t, i)
+                tcp.send("peer:a", "svc", payload)
+                expected[t].append(payload)
+                if i % 20 == 19:
+                    payload = b"%d:r%d" % (t, i)
+                    assert tcp.request("peer:a", "svc", payload) == b"ok"
+                    expected[t].append(payload)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=sender, args=(t,))
+                       for t in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert wait_for(lambda: len(got) == 1 + 6 * 105)
+        for t, sent in expected.items():
+            assert [p for p in got if p.startswith(b"%d:" % t)] == sent
+        assert tcp._conns[("peer:a", "svc")].posted == 0
+
+    def test_stalled_receiver_bounds_the_senders_buffer(self):
+        """Buffered bytes stay within the high-water mark plus one unit.
+
+        The receiver's handler stalls until the sender's buffer passes
+        the mark.  The sends come back to back from one thread, the case
+        where posts could outrun the loop.
+        """
+        sender = TcpTransport()
+        receiver = TcpTransport()
+        entered = threading.Event()
+        release = threading.Event()
+
+        def stalling(frame):
+            entered.set()
+            release.wait(10.0)
+
+        receiver.register("svc", stalling)
+        sender.add_route("svc", *receiver.location("svc"))
+        sender.configure_links(LinkPolicy(idle_flush_s=0.0))
+        try:
+            assert sender.send("tx", "svc", b"warm")
+            assert entered.wait(5.0)
+            conn = sender._conns[("tx", "svc")]
+            # Small kernel buffers, so the asyncio buffer fills quickly.
+            for writer in receiver._endpoints["svc"].inbound:
+                writer.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            conn.writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            transport = conn.writer.transport
+            high = transport.get_write_buffer_limits()[1]
+            write = conn.writer.write
+            buffered: list[int] = []
+            units: list[int] = []
+
+            def recording_write(data):
+                write(data)
+                buffered.append(transport.get_write_buffer_size())
+                units.append(len(data))
+                if buffered[-1] > high:
+                    release.set()
+
+            conn.writer.write = recording_write
+            sent = []
+            while not release.is_set() and len(sent) < 100:
+                sent.append(sender.send("tx", "svc", b"x" * 16384))
+            assert release.is_set()                     # the mark was passed
+            assert all(sent)
+            assert max(buffered) <= high + max(units)
+        finally:
+            release.set()
+            sender.close()
+            receiver.close()
+
+    def test_send_after_the_destination_unregisters_feeds_the_breaker(self):
+        sender = TcpTransport(request_timeout=10.0)
+        receiver = TcpTransport(request_timeout=10.0)
+        outcomes: list[str] = []
+
+        class RecordingBreaker:
+            def before_call(self):
+                pass
+
+            def record_success(self):
+                outcomes.append("ok")
+
+            def record_failure(self):
+                outcomes.append("failed")
+
+        got: list[bytes] = []
+        receiver.register("svc", lambda frame: got.append(frame.payload))
+        sender.add_route("svc", *receiver.location("svc"))
+        sender.configure_links(LinkPolicy(idle_flush_s=0.0),
+                               breaker_factory=lambda dst: RecordingBreaker())
+        try:
+            assert sender.send("tx", "svc", b"hello") is True
+            # served, so the receiver's unregister closes this connection
+            assert wait_for(lambda: got == [b"hello"])
+            receiver.unregister("svc")
+            # the sender's pooled connection sees the close
+            assert wait_for(lambda: ("tx", "svc") not in sender._conns)
+            assert sender.send("tx", "svc", b"gone") is False
+            assert outcomes == ["ok", "failed"]
+        finally:
+            sender.close()
+            receiver.close()
+
+    def test_connection_lost_after_a_posted_request_fails_it_promptly(self):
+        """A peer that hangs up on a posted request fails it well before
+        ``request_timeout``."""
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def serve():
+            sock, _ = listener.accept()
+            with sock, sock.makefile("rb") as stream:
+                while True:
+                    (length,) = struct.unpack(
+                        ">I", stream.read(framing.LENGTH_BYTES))
+                    _kind, req_id, _src, payload = framing.decode_body(
+                        stream.read(length))
+                    if payload == b"hang up":
+                        return
+                    sock.sendall(framing.encode_frame(
+                        framing.KIND_RESPONSE, req_id, "svc", payload))
+
+        server = threading.Thread(target=serve, daemon=True)
+        server.start()
+        tcp = TcpTransport(request_timeout=30.0)
+        tcp.add_route("svc", *listener.getsockname())
+        try:
+            assert tcp.request("peer:a", "svc", b"warm") == b"warm"
+            start = time.monotonic()
+            with pytest.raises(NetworkError, match="was lost"):
+                tcp.request("peer:a", "svc", b"hang up")
+            assert time.monotonic() - start < 5.0
+        finally:
+            tcp.close()
+            listener.close()
+            server.join(5.0)
+        assert not server.is_alive()
+
+
 class TestLifecycleHooks(LifecycleHooksCases):
     pass
 
@@ -282,6 +478,29 @@ class TestClose:
         assert not tcp.is_registered("a") and not tcp.is_registered("b")
         with pytest.raises(NetworkError, match="closed"):
             tcp.register("c", lambda frame: None)
+
+    def test_close_with_a_live_inbound_connection_logs_nothing(self):
+        """Cancelling the connection's server task logs no asyncio error,
+        and its on_close hook still runs once."""
+        records: list[logging.LogRecord] = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        logger = logging.getLogger("asyncio")
+        logger.addHandler(handler)
+        closed: list[str] = []
+        try:
+            tcp = TcpTransport()
+            tcp.register("svc", lambda frame: frame.payload,
+                         on_close=closed.append)
+            assert tcp.request("peer:a", "svc", b"x") == b"x"
+            tcp.close()
+            gc.collect()
+        finally:
+            logger.removeHandler(handler)
+        assert [r.getMessage() for r in records] == []
+        assert wait_for(lambda: closed == ["peer:a"])
+        time.sleep(0.05)
+        assert closed == ["peer:a"]
 
     def test_close_is_idempotent(self):
         tcp = TcpTransport()
