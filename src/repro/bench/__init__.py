@@ -29,8 +29,6 @@ from repro.bench.federation import (
     secure_reject_probe,
 )
 from repro.bench.msgfast import (
-    GROUP_SIZES,
-    RATE_COUNTS,
     format_msgfast,
     msgfast_report,
 )
@@ -75,9 +73,7 @@ __all__ = [
     "fed_report",
     "format_fed",
     "secure_reject_probe",
-    "GROUP_SIZES",
     "LOSS_RATES",
-    "RATE_COUNTS",
     "format_hotpath",
     "hotpath_report",
     "layer_ladder",

@@ -195,9 +195,12 @@ def format_a2(doc: dict) -> str:
 
 def a3_checks(doc: dict) -> dict:
     first, last = doc["points"][0], doc["points"][-1]
-    # iterated fan-out: the largest group costs more than the smallest
+    # iterated fan-out: the largest group costs more than the smallest,
+    # and one send puts more frames on the wire
     return _checked({
-        "largest_group_costs_more": last["secure_s"] > first["secure_s"]})
+        "largest_group_costs_more": last["secure_s"] > first["secure_s"],
+        "frames_grow_with_members": (last["secure_work"]["frames"]
+                                     > first["secure_work"]["frames"])})
 
 
 def a3_report(quick: bool = False) -> dict:

@@ -28,8 +28,11 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from repro.bench.fixtures import build_secure_world, fresh_network
-from repro.bench.msgfast import bench_policy
+from repro.bench.fixtures import (
+    BENCH_POLICY,
+    build_secure_world,
+    fresh_network,
+)
 from repro.bench.report import format_checks
 from repro.bench.timing import fresh_registry
 from repro.crypto.drbg import HmacDrbg
@@ -182,7 +185,7 @@ def secure_reject_probe() -> dict:
     """Unsigned frames die in the secure stack, foreign ones in the plain."""
     with fresh_registry() as registry:
         net, admin, broker, clients = build_secure_world(
-            n_clients=1, policy=bench_policy(True), joined=True)
+            n_clients=1, policy=BENCH_POLICY, joined=True)
         client = clients[0]
         adv = FileAdvertisement(peer_id=client.peer_id, file_name="evil",
                                 size=1, sha256_hex="00", group="bench")

@@ -16,6 +16,7 @@ from repro.core.keystore import Keystore
 from repro.core.policy import DEFAULT_POLICY, SecurityPolicy
 from repro.core.secure_broker import SecureBroker
 from repro.core.secure_client import SecureClientPeer
+from repro.crypto import envelope, signing
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import KeyPair, generate_keypair
 from repro.overlay.broker import Broker
@@ -23,6 +24,16 @@ from repro.overlay.client import ClientPeer
 from repro.overlay.database import UserDatabase
 from repro.sim.latency import LAN_2009, LinkModel
 from repro.sim.network import SimNetwork
+
+#: the bench experiments' policy: small keys + v1.5 wrap and signatures.
+#: RSA *counts* are what they compare, and those do not depend on the
+#: modulus size.  Both fast paths are on (the defaults); the paper's
+#: stateless path is ``experiments.stateless(BENCH_POLICY)``.
+BENCH_POLICY = SecurityPolicy(
+    rsa_bits=512,
+    envelope_wrap=envelope.WRAP_V15,
+    signature_scheme=signing.SCHEME_V15,
+).validate()
 
 
 @lru_cache(maxsize=None)

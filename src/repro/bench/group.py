@@ -17,8 +17,12 @@ inversion:
   Relay amplification must be exactly ``brokers - 1`` sealed datagrams
   per cast (the federation ring is fully meshed and the relay is sealed
   once, not per peer).
-* **legacy comparison** — the iterated baseline at small N, showing the
-  per-sender frame count growing linearly where group cast stays at one.
+
+The iterated baseline is A3's (``--experiment a3``): its exact
+``secure_work.frames`` gate pins 3/5/9/17 frames per iterated send at
+2/4/8/16 members, and its ``frames_grow_with_members`` check the
+growth.  Here the ``single_uplink_frame`` check holds the sender to one
+frame per cast at every size.
 
 Group members beyond the two real clients (the sender and one real
 receiver riding the full client path) are synthetic *sink subscribers*:
@@ -43,8 +47,6 @@ from dataclasses import asdict, dataclass
 from repro.bench import fixtures
 from repro.bench.report import format_checks
 from repro.bench.timing import fresh_registry, timed_call
-from repro.core.policy import SecurityPolicy
-from repro.crypto import envelope, signing
 from repro.overlay.broker import ConnectedPeer
 
 #: group sizes of the member sweep (total members incl. the two real clients)
@@ -60,9 +62,6 @@ SWEEP_BROKERS = 2
 SWEEP_SIZE = 1_000
 SWEEP_SIZE_QUICK = 100
 
-#: legacy (iterated secure_msg_peer) comparison sizes — real clients
-LEGACY_SIZES = (2, 4, 8)
-
 #: casts measured per cell
 MESSAGES = 3
 
@@ -71,15 +70,8 @@ CHECK_SPAN = (10, 10_000)
 
 GROUP = "bench-cast"
 
-
-def bench_policy(cast: bool = True) -> SecurityPolicy:
-    """Small keys + v1.5: the compared quantities are counts, not moduli."""
-    return SecurityPolicy(
-        rsa_bits=512,
-        envelope_wrap=envelope.WRAP_V15,
-        signature_scheme=signing.SCHEME_V15,
-        enable_group_cast=cast,
-    ).validate()
+#: the bench policy with the broker-mediated cast switched on
+CAST_POLICY = fixtures.BENCH_POLICY.with_(enable_group_cast=True)
 
 
 @dataclass
@@ -97,18 +89,6 @@ class CastCell:
     #: per-cast fan-out effect
     delivered_per_cast: float
     relayed_per_cast: float
-    mean_ms_per_cast: float
-
-
-@dataclass
-class LegacyCell:
-    """One iterated-baseline cell (real clients, small N)."""
-
-    group_size: int
-    messages: int
-    sender_frames_per_cast: float
-    rsa_ops_per_cast: float
-    delivered_per_cast: float
     mean_ms_per_cast: float
 
 
@@ -186,7 +166,7 @@ def _measure_cast(net, registry, sender, messages: int) -> dict:
 def _cast_cell(size: int, n_brokers: int, messages: int = MESSAGES) -> CastCell:
     with fresh_registry() as registry:
         net, _admin, brokers, clients = fixtures.build_federated_secure_world(
-            n_brokers, n_clients=2, policy=bench_policy(),
+            n_brokers, n_clients=2, policy=CAST_POLICY,
             seed=b"e-group|%d|%d" % (size, n_brokers))
         sender, receiver = clients
         sender.secure_create_group(GROUP)
@@ -199,42 +179,7 @@ def _cast_cell(size: int, n_brokers: int, messages: int = MESSAGES) -> CastCell:
     return CastCell(group_size=size, brokers=n_brokers, **stats)
 
 
-def _legacy_cell(size: int, messages: int = MESSAGES) -> LegacyCell:
-    """Iterated §4.3 baseline: size real members on one broker."""
-    with fresh_registry() as registry:
-        net, _admin, _broker, clients = fixtures.build_secure_world(
-            n_clients=size, policy=bench_policy(cast=False),
-            seed=b"e-group-legacy", joined=True)
-        sender = clients[0]
-        # warm the per-peer sessions so steady-state cost is measured
-        sender.secure_msg_peer_group("bench", "establish")
-        before_rsa = {n: registry.count(n) for n in _RSA}
-        tap = _UplinkTap(sender.address)
-        net.add_tap(tap)
-        total_s, delivered = 0.0, 0
-        try:
-            for i in range(messages):
-                result = {}
-
-                def one():
-                    result["n"] = sender.secure_msg_peer_group(
-                        "bench", f"msg {i}")
-
-                total_s += timed_call(net, one).total_s
-                delivered += int(result["n"])
-        finally:
-            net.remove_tap(tap)
-        rsa = sum(registry.count(n) - before_rsa[n] for n in _RSA)
-    return LegacyCell(
-        group_size=size, messages=messages,
-        sender_frames_per_cast=tap.frames / messages,
-        rsa_ops_per_cast=rsa / messages,
-        delivered_per_cast=delivered / messages,
-        mean_ms_per_cast=total_s / messages * 1e3)
-
-
-def _checks(size_cells: list[CastCell], broker_cells: list[CastCell],
-            legacy_cells: list[LegacyCell]) -> dict:
+def _checks(size_cells: list[CastCell], broker_cells: list[CastCell]) -> dict:
     by_size = {c.group_size: c for c in size_cells}
     lo_n, hi_n = CHECK_SPAN
     lo = by_size.get(lo_n) or size_cells[0]
@@ -259,13 +204,6 @@ def _checks(size_cells: list[CastCell], broker_cells: list[CastCell],
         "relay_is_ring_minus_one": all(
             c.relayed_per_cast == c.brokers - 1 for c in broker_cells),
     }
-    if legacy_cells:
-        lo_l, hi_l = legacy_cells[0], legacy_cells[-1]
-        checks["legacy_grows_with_members"] = (
-            hi_l.sender_frames_per_cast > lo_l.sender_frames_per_cast)
-        checks["cast_beats_legacy_frames"] = (
-            by_size[min(by_size)].sender_frames_per_cast
-            < hi_l.sender_frames_per_cast)
     checks["all_passed"] = all(
         v for v in checks.values() if isinstance(v, bool))
     return checks
@@ -278,16 +216,14 @@ def group_report(quick: bool = False) -> dict:
     sweep_size = SWEEP_SIZE_QUICK if quick else SWEEP_SIZE
     size_cells = [_cast_cell(size, SWEEP_BROKERS) for size in sizes]
     broker_cells = [_cast_cell(sweep_size, b) for b in broker_counts]
-    legacy_cells = [_legacy_cell(size) for size in LEGACY_SIZES]
-    checks = _checks(size_cells, broker_cells, legacy_cells)
+    checks = _checks(size_cells, broker_cells)
     return {
         "experiment": "E-GROUP",
         "quick": quick,
-        "rsa_bits": bench_policy().rsa_bits,
+        "rsa_bits": CAST_POLICY.rsa_bits,
         "messages_per_cell": MESSAGES,
         "size_sweep": [asdict(c) for c in size_cells],
         "broker_sweep": [asdict(c) for c in broker_cells],
-        "legacy_sweep": [asdict(c) for c in legacy_cells],
         "checks": checks,
     }
 
@@ -318,14 +254,5 @@ def format_group(data: dict) -> str:
             f"  {c['brokers']:>8}  {c['group_size']:>8}  "
             f"{c['relayed_per_cast']:>8.1f}  {c['delivered_per_cast']:>10.1f}  "
             f"{c['mean_ms_per_cast']:>9.2f}")
-    lines += [
-        "",
-        "  legacy (iterated §4.3) baseline:",
-        f"  {'members':>8}  {'frames':>7}  {'RSA':>5}  {'ms/msg':>9}",
-    ]
-    for c in data["legacy_sweep"]:
-        lines.append(
-            f"  {c['group_size']:>8}  {c['sender_frames_per_cast']:>7.1f}  "
-            f"{c['rsa_ops_per_cast']:>5.1f}  {c['mean_ms_per_cast']:>9.2f}")
     lines += ["", *format_checks("E-GROUP", data["checks"])]
     return "\n".join(lines)

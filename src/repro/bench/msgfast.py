@@ -1,17 +1,17 @@
 """E-MSGFAST: cost of the secure-messaging fast paths.
 
-Measures the tentpole optimizations against the paper-faithful stateless
-baseline (both fast paths off — exactly what ``ERA_2009_POLICY`` ships):
+Measures what no other experiment measures:
 
-* **group-size sweep** — ``secure_msg_peer_group`` to N members.  The
-  baseline pays N signs + N wraps per message (and N unwraps + N
-  verifies across the receivers); with ``enable_seal_many`` the payload
-  is signed once and sealed once under a shared CEK (1 sign + N wraps),
-  and with ``enable_resumption`` every message after the first rides
-  pair-wise sessions with **zero RSA operations**.
-* **message-rate sweep** — a two-peer conversation at increasing message
-  counts, showing per-message cost amortizing to the symmetric-only
-  steady state.
+* **fast vs stateless at N = 16** — ``secure_msg_peer_group`` to
+  :data:`CHECK_GROUP_SIZE` members with both fast paths on against the
+  paper's stateless path (:func:`repro.bench.experiments.stateless`).
+  The stateless sender pays N signs + N wraps per message (and N
+  unwraps + N verifies across the receivers); with ``enable_seal_many``
+  the payload is signed once and sealed once under a shared CEK
+  (1 sign + N wraps), and with ``enable_resumption`` every message
+  after the first rides pair-wise sessions.  A3 owns the iterated send
+  across group sizes, and E-HOTPATH's ``+secure resumed`` rung the
+  0-RSA resumed steady state.
 * **wire sweep** — transport-level bytes-on-wire and frames-per-wire-unit
   under the link-layer send scheduler (:mod:`repro.net.linkq`): burst vs
   trickle load across uncorked sends ("legacy", one wire unit per
@@ -21,10 +21,9 @@ baseline (both fast paths off — exactly what ``ERA_2009_POLICY`` ships):
   ``--gate`` regression check (see below) compares them across machines
   without noise tolerance games.
 
-RSA operation counts are read from the observability registry
-(``crypto.rsa.private_op`` / ``public_op`` / ``verify_op``) under a
-swapped-in fresh registry, so the numbers cover exactly the measured
-sends — world setup, joins and advertisement exchange are excluded.
+RSA operation counts are the measured sends' work
+(:func:`repro.bench.timing.timed_call`) under a swapped-in fresh
+registry, so world setup, joins and advertisement exchange are excluded.
 
 ``python -m repro.bench --experiment msgfast`` prints the report, writes
 ``BENCH_MSGFAST.json`` and exits nonzero if any acceptance check fails
@@ -40,21 +39,12 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
 from repro.bench import fixtures
+from repro.bench.experiments import stateless
 from repro.bench.report import format_checks
 from repro.bench.timing import WORK_COUNTS, fresh_registry, mean_total, timed_call
-from repro.core.policy import SecurityPolicy
-from repro.crypto import envelope, signing
 from repro.sim.network import SimNetwork
 
-#: group sizes of the fan-out sweep (recipients per message)
-GROUP_SIZES = (1, 2, 4, 8, 16, 32, 64)
-GROUP_SIZES_QUICK = (1, 4, 16)
-
-#: message counts of the two-peer rate sweep
-RATE_COUNTS = (1, 2, 4, 8, 16, 32)
-RATE_COUNTS_QUICK = (1, 4, 8)
-
-#: the group size the acceptance checks are evaluated at
+#: the group size the fast-vs-stateless sweep runs and is checked at
 CHECK_GROUP_SIZE = 16
 
 #: messages per wire-sweep cell (same in quick mode: virtual time is free)
@@ -62,26 +52,10 @@ WIRE_MESSAGES = 64
 WIRE_MODES = ("legacy", "batched", "batched+zlib")
 WIRE_LOADS = ("burst", "trickle")
 
-#: RSA-op counters snapshotted around every measured send loop
-_RSA_COUNTERS = ("crypto.rsa.private_op", "crypto.rsa.public_op",
-                 "crypto.rsa.verify_op")
-
-
-def bench_policy(fast: bool) -> SecurityPolicy:
-    """Small keys + v1.5 wrap: RSA *counts* are what the experiment
-    compares, and they are independent of the modulus size."""
-    return SecurityPolicy(
-        rsa_bits=512,
-        envelope_wrap=envelope.WRAP_V15,
-        signature_scheme=signing.SCHEME_V15,
-        enable_seal_many=fast,
-        enable_resumption=fast,
-    ).validate()
-
 
 @dataclass
 class SweepCell:
-    """One (size-or-count, fast on/off) cell of a sweep."""
+    """One (fast on/off) cell of the group sweep."""
 
     fast: bool
     group_size: int
@@ -121,74 +95,28 @@ def _measure(net, send, messages: int) -> dict:
     }
 
 
-def group_sweep(sizes=GROUP_SIZES, messages: int = 3) -> list[SweepCell]:
-    """``secure_msg_peer_group`` across group sizes, fast on vs off."""
+def group_sweep(messages: int = 3) -> list[SweepCell]:
+    """``secure_msg_peer_group`` to :data:`CHECK_GROUP_SIZE` members,
+    stateless then fast."""
     cells: list[SweepCell] = []
+    size = CHECK_GROUP_SIZE
     for fast in (False, True):
-        policy = bench_policy(fast)
-        for size in sizes:
-            with fresh_registry():
-                net, _admin, _broker, clients = fixtures.build_secure_world(
-                    n_clients=size + 1, policy=policy,
-                    seed=b"e-msgfast-group", joined=True)
-                sender = clients[0]
-                stats = _measure(
-                    net,
-                    lambda: sender.secure_msg_peer_group(
-                        "bench", "fast-path probe"),
-                    messages)
-            cells.append(SweepCell(fast=fast, group_size=size,
-                                   messages=messages, **stats))
+        policy = fixtures.BENCH_POLICY
+        if not fast:
+            policy = stateless(policy)
+        with fresh_registry():
+            net, _admin, _broker, clients = fixtures.build_secure_world(
+                n_clients=size + 1, policy=policy,
+                seed=b"e-msgfast-group", joined=True)
+            sender = clients[0]
+            stats = _measure(
+                net,
+                lambda: sender.secure_msg_peer_group(
+                    "bench", "fast-path probe"),
+                messages)
+        cells.append(SweepCell(fast=fast, group_size=size,
+                               messages=messages, **stats))
     return cells
-
-
-def rate_sweep(counts=RATE_COUNTS) -> list[SweepCell]:
-    """Two-peer conversation at increasing message counts."""
-    cells: list[SweepCell] = []
-    for fast in (False, True):
-        policy = bench_policy(fast)
-        for count in counts:
-            with fresh_registry():
-                net, _admin, _broker, clients = fixtures.build_secure_world(
-                    n_clients=2, policy=policy,
-                    seed=b"e-msgfast-rate", joined=True)
-                sender, receiver = clients
-                stats = _measure(
-                    net,
-                    lambda: sender.secure_msg_peer(
-                        str(receiver.peer_id), "bench", "rate probe"),
-                    count)
-            cells.append(SweepCell(fast=fast, group_size=1,
-                                   messages=count, **stats))
-    return cells
-
-
-def steady_state_probe(messages: int = 8) -> dict:
-    """RSA ops per message once a pair-wise session is established.
-
-    The acceptance criterion: after the first (establishing) envelope,
-    every resumed send costs **zero** RSA operations end to end.
-    """
-    with fresh_registry() as registry:
-        net, _admin, _broker, clients = fixtures.build_secure_world(
-            n_clients=2, policy=bench_policy(True),
-            seed=b"e-msgfast-steady", joined=True)
-        sender, receiver = clients
-        # Establish: first send mints the session (1 sign + 1 wrap + ...).
-        sender.secure_msg_peer(str(receiver.peer_id), "bench", "establish")
-        before = {name: registry.count(name) for name in _RSA_COUNTERS}
-        delivered = sum(
-            1 for _ in range(messages)
-            if sender.secure_msg_peer(str(receiver.peer_id), "bench", "steady"))
-        deltas = {name: registry.count(name) - before[name]
-                  for name in _RSA_COUNTERS}
-    return {
-        "resumed_messages": messages,
-        "delivered": delivered,
-        "rsa_private_ops": deltas["crypto.rsa.private_op"],
-        "rsa_public_ops": deltas["crypto.rsa.public_op"],
-        "rsa_verify_ops": deltas["crypto.rsa.verify_op"],
-    }
 
 
 @dataclass
@@ -287,61 +215,45 @@ def _wire_checks(cells: list[WireCell]) -> dict:
     }
 
 
-def _checks(group_cells: list[SweepCell], steady: dict,
-            check_size: int = CHECK_GROUP_SIZE) -> dict:
+def _checks(group_cells: list[SweepCell]) -> dict:
     """The acceptance gates (CI fails the build on any False)."""
-    by_key = {(c.fast, c.group_size): c for c in group_cells}
-    base = by_key.get((False, check_size))
-    fast = by_key.get((True, check_size))
-    if base is None or fast is None:
-        raise ValueError(f"sweep lacks group size {check_size}")
+    by_fast = {c.fast: c for c in group_cells}
+    base, fast = by_fast[False], by_fast[True]
+    n = CHECK_GROUP_SIZE
     reduction = (base.rsa_ops / fast.rsa_ops) if fast.rsa_ops else float("inf")
-    steady_rsa = (steady["rsa_private_ops"] + steady["rsa_public_ops"]
-                  + steady["rsa_verify_ops"])
-    checks = {
-        "fast_cheaper_private_at_%d" % check_size:
+    return {
+        f"fast_cheaper_private_at_{n}":
             fast.rsa_private_ops < base.rsa_private_ops,
-        "fast_cheaper_public_at_%d" % check_size:
+        f"fast_cheaper_public_at_{n}":
             fast.rsa_public_ops < base.rsa_public_ops,
-        "rsa_reduction_at_%d" % check_size: reduction,
+        f"rsa_reduction_at_{n}": reduction,
         "rsa_reduction_at_least_3x": reduction >= 3.0,
-        "steady_state_rsa_ops": steady_rsa,
-        "steady_state_zero_rsa": steady_rsa == 0,
         "all_delivered": all(
             c.delivered == c.messages * c.group_size for c in group_cells),
     }
-    checks["all_passed"] = all(
-        value for value in checks.values() if isinstance(value, bool))
-    return checks
 
 
 def msgfast_report(quick: bool = False) -> dict:
     """The complete E-MSGFAST document."""
-    sizes = GROUP_SIZES_QUICK if quick else GROUP_SIZES
-    counts = RATE_COUNTS_QUICK if quick else RATE_COUNTS
     # 3 messages per cell: one establishing + two resumed sends is the
     # smallest run where the amortized RSA saving is visible.
     messages = 3
-    group_cells = group_sweep(sizes=sizes, messages=messages)
-    rate_cells = rate_sweep(counts=counts)
-    steady = steady_state_probe(messages=4 if quick else 8)
+    group_cells = group_sweep(messages=messages)
     # The wire sweep runs at full size even in quick mode: it is pure
     # virtual time, so 64 messages cost milliseconds — and the gate
     # needs identical parameters in CI and baseline runs.
     wire_cells = wire_sweep()
-    checks = _checks(group_cells, steady)
+    checks = _checks(group_cells)
     checks.update(_wire_checks(wire_cells))
     checks["all_passed"] = all(
         value for value in checks.values() if isinstance(value, bool))
     return {
         "experiment": "E-MSGFAST",
         "quick": quick,
-        "rsa_bits": bench_policy(True).rsa_bits,
+        "rsa_bits": fixtures.BENCH_POLICY.rsa_bits,
         "messages_per_group_cell": messages,
         "group_sweep": [asdict(c) for c in group_cells],
-        "rate_sweep": [asdict(c) for c in rate_cells],
         "wire_sweep": [asdict(c) for c in wire_cells],
-        "steady_state": steady,
         "checks": checks,
     }
 
@@ -363,18 +275,6 @@ def format_msgfast(data: dict) -> str:
             f"{cell['mean_ms_per_msg']:>8.2f}")
     lines += [
         "",
-        "E-MSGFAST: two-peer rate sweep (RSA ops for the whole run)",
-        f"  {'msgs':>5}  {'mode':>8}  {'RSA priv':>9}  {'RSA pub':>8}  "
-        f"{'resumed':>8}  {'ms/msg':>8}",
-    ]
-    for cell in data["rate_sweep"]:
-        lines.append(
-            f"  {cell['messages']:>5}  "
-            f"{'fast' if cell['fast'] else 'baseline':>8}  "
-            f"{cell['rsa_private_ops']:>9}  {cell['rsa_public_ops']:>8}  "
-            f"{cell['resumed_frames']:>8}  {cell['mean_ms_per_msg']:>8.2f}")
-    lines += [
-        "",
         f"E-MSGFAST: wire sweep ({WIRE_MESSAGES} msgs/cell, link scheduler)",
         f"  {'mode':>12}  {'load':>8}  {'units':>6}  {'frames/u':>9}  "
         f"{'bytes':>8}  {'B/msg':>8}",
@@ -384,12 +284,7 @@ def format_msgfast(data: dict) -> str:
             f"  {cell['mode']:>12}  {cell['load']:>8}  "
             f"{cell['wire_units']:>6}  {cell['frames_per_unit']:>9.1f}  "
             f"{cell['bytes_on_wire']:>8}  {cell['bytes_per_msg']:>8.1f}")
-    steady = data["steady_state"]
     lines += [
-        "",
-        f"  steady state: {steady['resumed_messages']} resumed sends -> "
-        f"{steady['rsa_private_ops']} private / {steady['rsa_public_ops']} "
-        f"public / {steady['rsa_verify_ops']} verify RSA ops",
         "",
         *format_checks("E-MSGFAST", data["checks"]),
     ]

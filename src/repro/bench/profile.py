@@ -33,7 +33,7 @@ import json
 from pathlib import Path
 
 from repro.bench import fixtures, paths
-from repro.bench.msgfast import bench_policy
+from repro.bench.experiments import stateless
 from repro.bench.report import format_checks, triple
 from repro.bench.timing import fresh_registry, timed_call, work_per_op
 
@@ -78,17 +78,6 @@ def _measure_sends(send, messages: int, net) -> dict:
     }
 
 
-def _steady_world(seed: bytes):
-    """A joined two-client secure world with a minted resume session."""
-    net, _admin, _broker, clients = fixtures.build_secure_world(
-        n_clients=2, policy=bench_policy(True), seed=seed, joined=True)
-    sender, receiver = clients
-    # establish: the first send mints the pair-wise session (RSA here,
-    # never again) and warms every cache
-    sender.secure_msg_peer(str(receiver.peer_id), "bench", "establish")
-    return net, sender, receiver
-
-
 # -- the layer ladder ------------------------------------------------------
 
 
@@ -103,6 +92,23 @@ def _plain_pair(seed: bytes, wire: bool):
             endpoint._wire = None
     sender, receiver = clients
     sender.send_msg_peer(str(receiver.peer_id), "bench", "warm")
+    return net, sender, receiver
+
+
+def _secure_pair(fast: bool):
+    """A joined secure pair after one warm-up send.
+
+    With *fast* the warm-up mints the pair-wise resume session (RSA
+    there, never again) and every later send rides it; without, each
+    send is the paper's stateless secureMsgPeer.
+    """
+    policy = fixtures.BENCH_POLICY
+    if not fast:
+        policy = stateless(policy)
+    net, _admin, _broker, clients = fixtures.build_secure_world(
+        n_clients=2, policy=policy, seed=b"e-hotpath-ladder-sec", joined=True)
+    sender, receiver = clients
+    sender.secure_msg_peer(str(receiver.peer_id), "bench", "warm")
     return net, sender, receiver
 
 
@@ -130,11 +136,7 @@ def layer_ladder(messages: int = 60) -> list[dict]:
             str(receiver.peer_id), "bench", _PAYLOAD_TEXT).ok
 
     def secure_send(fast: bool):
-        net, _admin, _broker, clients = fixtures.build_secure_world(
-            n_clients=2, policy=bench_policy(fast),
-            seed=b"e-hotpath-ladder-sec", joined=True)
-        sender, receiver = clients
-        sender.secure_msg_peer(str(receiver.peer_id), "bench", "warm")
+        net, sender, receiver = _secure_pair(fast)
         return net, lambda: sender.secure_msg_peer(
             str(receiver.peer_id), "bench", _PAYLOAD_TEXT)
 
@@ -282,7 +284,7 @@ def run_cprofile(messages: int = 300, top: int = 20) -> int:
     import pstats
 
     with fresh_registry():
-        _net, sender, receiver = _steady_world(b"e-hotpath-cprofile")
+        _net, sender, receiver = _secure_pair(fast=True)
         peer = str(receiver.peer_id)
         profiler = cProfile.Profile()
         profiler.enable()

@@ -35,9 +35,8 @@ from __future__ import annotations
 import json
 import time
 
+from repro.bench.fixtures import BENCH_POLICY
 from repro.bench.timing import fresh_registry
-from repro.core.policy import SecurityPolicy
-from repro.crypto import envelope, signing
 from repro.crypto.drbg import HmacDrbg
 from repro.scenario import (
     ActorPool,
@@ -75,19 +74,10 @@ WIRE_FRACTION = 0.002
 GROUP = "scale-probe"
 
 
-def bench_policy() -> SecurityPolicy:
-    """Small keys + v1.5: the gated quantities are counts, not moduli."""
-    return SecurityPolicy(
-        rsa_bits=512,
-        envelope_wrap=envelope.WRAP_V15,
-        signature_scheme=signing.SCHEME_V15,
-    ).validate()
-
-
 def _build_world(quick: bool):
     """The deployment + population + engine, straight from the DSL."""
     population = POPULATION_QUICK if quick else POPULATION
-    builder = Scenario(seed=b"e-scale", policy=bench_policy())
+    builder = Scenario(seed=b"e-scale", policy=BENCH_POLICY)
     builder.with_user("probe-a", "pw", groups={GROUP})
     builder.with_user("probe-b", "pw", groups={GROUP})
     for i in range(BROKERS):
@@ -191,7 +181,7 @@ def scale_report(quick: bool = False) -> dict:
     return {
         "experiment": "E-SCALE",
         "quick": quick,
-        "rsa_bits": bench_policy().rsa_bits,
+        "rsa_bits": BENCH_POLICY.rsa_bits,
         "brokers": BROKERS,
         "population": population,
         "wire_fraction": WIRE_FRACTION,

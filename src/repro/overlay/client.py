@@ -568,13 +568,11 @@ class ClientPeer(LinkCapsMixin):
         ``from`` fields are self-asserted and trivially spoofable).
 
         Returns a :class:`~repro.overlay.results.PrimitiveResult` whose
-        truthiness equals delivery success.  Lost datagrams are retried
+        ``ok`` is delivery success.  Lost datagrams are retried
         under the ``messenger`` policy (or the per-call ``retry=``
         override); delivery failure is reported in the result, never
-        raised.
-
-        .. deprecated:: the historical bare ``bool`` return; rely on the
-           result object (its ``__bool__`` shim keeps old callers alive).
+        raised.  The result has no truth value: test ``result.ok``
+        (``bool(result)`` raises :class:`TypeError`).
         """
         self._require_login()
         if group not in self.groups:
@@ -614,7 +612,7 @@ class ClientPeer(LinkCapsMixin):
         the whole fan-out — it is counted and the call completes degraded.
         The result's ``value`` is the delivery count (the historical bare
         ``int`` return, now deprecated; ``result == n`` still compares
-        against it).
+        against it).  Test ``result.ok``, not the result itself.
         """
         self._require_login()
         started = self.clock.now
@@ -698,8 +696,9 @@ class ClientPeer(LinkCapsMixin):
         Returns a :class:`~repro.overlay.results.PrimitiveResult` whose
         ``value`` is the file content; the historical bare ``bytes``
         return is deprecated (``len(result)`` / ``result[i]`` /
-        ``result == data`` all delegate to the content).  Integrity and
-        lookup failures still raise.
+        ``result == data`` all delegate to the content, but
+        ``bool(result)`` raises rather than test it for emptiness: use
+        ``result.ok``).  Integrity and lookup failures still raise.
         """
         self._require_login()
         retry = retry if retry is not None else self.retry_policies["file"]

@@ -15,8 +15,9 @@ The ``__bool__`` / ``__int__`` shims that once made the object a
 drop-in stand-in for the legacy bare returns went through their
 deprecation cycle and are gone — truth-testing would collapse the
 attempts/degraded story into one bit, which is exactly what this type
-exists to avoid.  Sequence access (``len``/iteration/indexing) still
-delegates to ``value`` for payload-carrying results.
+exists to avoid, so ``bool(result)`` raises :class:`TypeError` naming
+``.ok``.  Sequence access (``len``/iteration/indexing) still delegates
+to ``value`` for payload-carrying results.
 """
 
 from __future__ import annotations
@@ -68,6 +69,13 @@ class PrimitiveResult:
         return not self.__eq__(other)
 
     __hash__ = None  # mutable + value-delegating equality
+
+    def __bool__(self) -> bool:
+        # without this, truth-testing would fall back to ``__len__``: a
+        # ``TypeError`` for a bool or int value, and "is the content
+        # empty" for a bytes one
+        raise TypeError("PrimitiveResult has no truth value; "
+                        "test result.ok instead")
 
     def __len__(self) -> int:
         return len(self.value)

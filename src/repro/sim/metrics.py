@@ -1,4 +1,4 @@
-"""Lightweight metric registry used by entities and the bench harness."""
+"""Lightweight per-endpoint counters used by entities and the bench harness."""
 
 from __future__ import annotations
 
@@ -8,36 +8,12 @@ from dataclasses import dataclass, field
 
 @dataclass
 class Metrics:
-    """Named counters and duration accumulators."""
+    """Named counters."""
 
     counters: dict[str, int] = field(default_factory=lambda: defaultdict(int))
-    durations: dict[str, list[float]] = field(default_factory=lambda: defaultdict(list))
 
     def incr(self, name: str, by: int = 1) -> None:
         self.counters[name] += by
 
-    def observe(self, name: str, seconds: float) -> None:
-        self.durations[name].append(seconds)
-
     def count(self, name: str) -> int:
         return self.counters.get(name, 0)
-
-    def total(self, name: str) -> float:
-        return sum(self.durations.get(name, ()))
-
-    def mean(self, name: str) -> float:
-        values = self.durations.get(name, ())
-        return sum(values) / len(values) if values else 0.0
-
-    def merge(self, other: "Metrics") -> None:
-        for k, v in other.counters.items():
-            self.counters[k] += v
-        for k, vs in other.durations.items():
-            self.durations[k].extend(vs)
-
-    def snapshot(self) -> dict[str, float]:
-        out: dict[str, float] = {k: float(v) for k, v in self.counters.items()}
-        for k in self.durations:
-            out[f"{k}.total_s"] = self.total(k)
-            out[f"{k}.mean_s"] = self.mean(k)
-        return out

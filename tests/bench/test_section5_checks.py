@@ -26,9 +26,11 @@ def a2_doc(rsa1024_s: float, rsa2048_s: float) -> dict:
                      {"label": "rsa2048+chacha(oaep)", "join_secure_s": rsa2048_s}]}
 
 
-def a3_doc(*secure_s: float) -> dict:
-    return {"points": [{"group_size": 2 ** (i + 1), "secure_s": s}
-                       for i, s in enumerate(secure_s)]}
+def a3_doc(*secure_s: float, frames: tuple[int, ...] = ()) -> dict:
+    frames = frames or tuple(2 ** (i + 1) + 1 for i in range(len(secure_s)))
+    return {"points": [{"group_size": 2 ** (i + 1), "secure_s": s,
+                        "secure_work": {"frames": n}}
+                       for i, (s, n) in enumerate(zip(secure_s, frames))]}
 
 
 def a4_doc(stateless_s: float, tls_s: float) -> dict:
@@ -64,6 +66,8 @@ CASES = [
      "rsa2048_join_costs_more"),
     (evaluation.a3_checks, a3_doc(0.005, 0.014, 0.09),
      a3_doc(0.005, 0.014, 0.005), "largest_group_costs_more"),
+    (evaluation.a3_checks, a3_doc(0.005, 0.014, 0.09),
+     a3_doc(0.005, 0.014, 0.09, frames=(3, 5, 3)), "frames_grow_with_members"),
     (evaluation.a4_checks, a4_doc(0.130, 0.080), a4_doc(0.130, 0.130),
      "tls_cheaper_per_msg_at_largest_n"),
     *[(evaluation.obs_checks, obs_doc(), obs_doc(**{name: record}),

@@ -197,6 +197,11 @@ class TestPrimitiveResult:
         r = PrimitiveResult(ok=True, value=b"abc")
         assert len(r) == 3 and r[0] == ord("a") and bytes(r) == b"abc"
 
+    @pytest.mark.parametrize("value", [True, 2, b"", b"data", None])
+    def test_has_no_truth_value(self, value):
+        with pytest.raises(TypeError, match=r"\.ok"):
+            bool(PrimitiveResult(ok=True, value=value))
+
     def test_unwrap(self):
         assert PrimitiveResult(ok=True, value="v").unwrap() == "v"
         exc = NetworkError("lost")

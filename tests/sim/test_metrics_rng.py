@@ -1,7 +1,5 @@
 """Metrics registry and deterministic sim randomness."""
 
-import pytest
-
 from repro.sim import Metrics, SimRandom
 
 
@@ -12,32 +10,6 @@ class TestMetrics:
         m.incr("x", 4)
         assert m.count("x") == 5
         assert m.count("missing") == 0
-
-    def test_durations(self):
-        m = Metrics()
-        m.observe("op", 1.0)
-        m.observe("op", 3.0)
-        assert m.total("op") == pytest.approx(4.0)
-        assert m.mean("op") == pytest.approx(2.0)
-        assert m.mean("missing") == 0.0
-
-    def test_merge(self):
-        a, b = Metrics(), Metrics()
-        a.incr("x")
-        b.incr("x", 2)
-        b.observe("t", 1.0)
-        a.merge(b)
-        assert a.count("x") == 3
-        assert a.total("t") == pytest.approx(1.0)
-
-    def test_snapshot(self):
-        m = Metrics()
-        m.incr("c", 2)
-        m.observe("d", 0.5)
-        snap = m.snapshot()
-        assert snap["c"] == 2.0
-        assert snap["d.total_s"] == pytest.approx(0.5)
-        assert snap["d.mean_s"] == pytest.approx(0.5)
 
 
 class TestSimRandom:
