@@ -38,6 +38,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 
+from repro import obs
 from repro.bench import fixtures
 from repro.bench.experiments import stateless
 from repro.bench.report import format_checks
@@ -143,9 +144,10 @@ def _wire_payloads(messages: int) -> list[bytes]:
             for i in range(messages)]
 
 
-def _wire_cell(mode: str, load: str,
+def _wire_cell(mode: str, load: str, registry: obs.Registry,
                messages: int = WIRE_MESSAGES) -> WireCell:
-    """Drive one cell through a fresh simulator and read the wire stats."""
+    """Drive one cell through a fresh simulator and read its traffic
+    counters from ``registry``."""
     net = SimNetwork()
     received: list[bytes] = []
     net.register("rx", lambda frame: received.append(frame.payload) or None)
@@ -153,8 +155,8 @@ def _wire_cell(mode: str, load: str,
     if mode == "batched+zlib":
         net.set_link_compression("tx", "rx", 6)
     payloads = _wire_payloads(messages)
-    units0 = net.stats.frames_sent
-    bytes0 = net.stats.bytes_sent
+    units0 = registry.count("net.frames_sent")
+    bytes0 = registry.count("net.bytes_sent")
     t0 = net.clock.now
     if load == "burst":
         # "legacy" is the same burst without a cork: one unit per send.
@@ -165,8 +167,8 @@ def _wire_cell(mode: str, load: str,
         for payload in payloads:
             net.send("tx", "rx", payload)
             net.clock.advance(policy.idle_flush_s * 2)
-    wire_units = net.stats.frames_sent - units0
-    bytes_on_wire = net.stats.bytes_sent - bytes0
+    wire_units = registry.count("net.frames_sent") - units0
+    bytes_on_wire = registry.count("net.bytes_sent") - bytes0
     virtual_s = net.clock.now - t0
     return WireCell(
         mode=mode, load=load, messages=messages,
@@ -183,8 +185,9 @@ def wire_sweep(messages: int = WIRE_MESSAGES) -> list[WireCell]:
     cells: list[WireCell] = []
     for mode in WIRE_MODES:
         for load in WIRE_LOADS:
-            with fresh_registry():
-                cells.append(_wire_cell(mode, load, messages=messages))
+            with fresh_registry() as registry:
+                cells.append(_wire_cell(mode, load, registry,
+                                        messages=messages))
     return cells
 
 

@@ -1,13 +1,12 @@
 """E-HOTPATH: price each stacked layer of the message path, gate its work.
 
-Five PRs stacked per-message layers onto the secure-messaging path —
-codec, wire boundary, observability, federation routing, seal/resume
-crypto.  This experiment prices that path as a **layer ladder**
-(plain → +wire → +obs → +secure → +resumed): every row sends the same
-chat-sized message and records, per message, the wall-clock cost and
-the work the simulator and the row's metrics registry count — frames
-and bytes on the network, RSA private/public/verify operations,
-envelope and resume seal/open calls.
+Per-message layers sit on the secure-messaging path — codec, wire
+boundary, federation routing, seal/resume crypto.  This experiment
+prices that path as a **layer ladder** (plain → +wire → +secure →
++resumed): every row sends the same chat-sized message and records,
+per message, the wall-clock cost and the work the row's metrics
+registry counts — frames and bytes on the network, RSA
+private/public/verify operations, envelope and resume seal/open calls.
 
 ``python -m repro.bench --experiment hotpath`` prints the report, writes
 ``BENCH_HOTPATH.json`` and exits nonzero if an acceptance check fails.
@@ -54,9 +53,8 @@ def _measure_sends(send, messages: int, net) -> dict:
     """Wall-clock a send loop and count its work per message.
 
     Throughput is real CPU seconds, not simulated time (the simulated
-    network adds no wall cost).  Frames and bytes come from the
-    simulator's own traffic stats, which it keeps whether or not the
-    row records metrics; the crypto counts come from the row's registry.
+    network adds no wall cost).  Frames, bytes and the crypto counts
+    come from the row's registry.
     """
     delivered = 0
 
@@ -113,7 +111,7 @@ def _secure_pair(fast: bool):
 
 
 def layer_ladder(messages: int = 60) -> list[dict]:
-    """Price each stacked layer: plain → +wire → +obs → +secure → +resumed.
+    """Price each stacked layer: plain → +wire → +secure → +resumed.
 
     The secure rows use the bench policy (512-bit RSA, so the
     *structure* of the cost is representative, the RSA constants are
@@ -123,9 +121,8 @@ def layer_ladder(messages: int = 60) -> list[dict]:
     """
     rows: list[dict] = []
 
-    def _run(layer: str, build, obs_enabled: bool) -> None:
-        with fresh_registry() as registry:
-            registry.enabled = obs_enabled
+    def _run(layer: str, build) -> None:
+        with fresh_registry():
             net, send = build()
             stats = _measure_sends(send, messages, net)
         rows.append({"layer": layer, **stats})
@@ -140,12 +137,10 @@ def layer_ladder(messages: int = 60) -> list[dict]:
         return net, lambda: sender.secure_msg_peer(
             str(receiver.peer_id), "bench", _PAYLOAD_TEXT)
 
-    _run("plain", lambda: plain_send(wire=False), obs_enabled=False)
-    _run("+wire", lambda: plain_send(wire=True), obs_enabled=False)
-    _run("+obs", lambda: plain_send(wire=True), obs_enabled=True)
-    _run("+secure (stateless)", lambda: secure_send(fast=False),
-         obs_enabled=True)
-    _run("+secure resumed", lambda: secure_send(fast=True), obs_enabled=True)
+    _run("plain", lambda: plain_send(wire=False))
+    _run("+wire", lambda: plain_send(wire=True))
+    _run("+secure (stateless)", lambda: secure_send(fast=False))
+    _run("+secure resumed", lambda: secure_send(fast=True))
 
     plain_ms = rows[0]["ms_per_msg"] or 1e-9
     for row in rows:

@@ -12,10 +12,10 @@ slower hosts (the paper used a 1.2 GHz Pentium M).
 
 Work is counted rather than timed: :func:`fresh_registry` swaps in an
 empty observability registry for the duration of a measurement, and
-:func:`work` reads the simulator's traffic and the registry's crypto
-counters, so the difference of two readings is exactly the work done in
-between.  Every :func:`timed_call` records that difference, and the
-gates compare it, because it is the same on any machine.
+:func:`work` reads the registry's traffic and crypto counters, so the
+difference of two readings is exactly the work done in between.  Every
+:func:`timed_call` records that difference, and the gates compare it,
+because it is the same on any machine.
 """
 
 from __future__ import annotations
@@ -26,10 +26,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
 from repro import obs
+from repro.crypto.sigcache import get_sig_cache
 from repro.sim.network import SimNetwork
 
 #: per-operation work counts read from the registry, by report key
-REGISTRY_COUNTS = {
+WORK_COUNTERS = {
+    "frames": "net.frames_sent",
+    "bytes": "net.bytes_sent",
     "rsa_private": "crypto.rsa.private_op",
     "rsa_public": "crypto.rsa.public_op",
     "rsa_verify": "crypto.rsa.verify_op",
@@ -39,19 +42,22 @@ REGISTRY_COUNTS = {
     "resume_open": "crypto.resume.open",
 }
 
-#: every work count: the simulator's traffic, then the registry counts
-WORK_COUNTS = ("frames", "bytes", *REGISTRY_COUNTS)
+#: every work count: the simulator's traffic, then the crypto counts
+WORK_COUNTS = tuple(WORK_COUNTERS)
 
 
 @contextmanager
 def fresh_registry() -> Iterator[obs.Registry]:
-    """Swap in an empty, enabled registry (with its tracer and events).
+    """Swap in an empty registry (with its tracer and events).
 
     The previous registry, tracer and event bus come back on exit, so
     the counters inside the block cover exactly the work done there.
-    Also usable as a decorator.
+    The process-wide signature cache is emptied on entry, so a block's
+    verify count does not depend on what ran before it.  Also usable as
+    a decorator.
     """
-    registry = obs.Registry(enabled=True)
+    get_sig_cache().invalidate()
+    registry = obs.Registry()
     saved = (obs.get_registry(), obs.get_tracer(), obs.get_events())
     obs.set_registry(registry)
     obs.set_tracer(obs.Tracer(registry=registry))
@@ -64,13 +70,9 @@ def fresh_registry() -> Iterator[obs.Registry]:
         obs.set_events(saved[2])
 
 
-def work(network: SimNetwork, registry: obs.Registry) -> dict[str, int]:
+def work(registry: obs.Registry) -> dict[str, int]:
     """Cumulative work so far: the simulator's traffic and the counters."""
-    counts = {"frames": network.stats.frames_sent,
-              "bytes": network.stats.bytes_sent}
-    for key, name in REGISTRY_COUNTS.items():
-        counts[key] = registry.count(name)
-    return counts
+    return {key: registry.count(name) for key, name in WORK_COUNTERS.items()}
 
 
 @dataclass(frozen=True)
@@ -93,12 +95,12 @@ def timed_call(network: SimNetwork, fn: Callable[[], object],
     """Run ``fn``; split its cost into CPU and modeled network time and
     count the work it did (in the current registry)."""
     registry = obs.get_registry()
-    before = work(network, registry)
+    before = work(registry)
     net0 = network.clock.network_time
     t0 = time.perf_counter()
     fn()
     wall = time.perf_counter() - t0
-    after = work(network, registry)
+    after = work(registry)
     return OpTiming(
         wall_cpu_s=wall,
         network_s=network.clock.network_time - net0,

@@ -9,7 +9,7 @@ and (d) the requesting *username* passes the executor's ACL.
 
 from __future__ import annotations
 
-from repro import wire
+from repro import obs, wire
 from repro.core.keystore import Keystore
 from repro.core.policy import SecurityPolicy
 from repro.core.secure_rpc import (
@@ -22,7 +22,6 @@ from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import PublicKey
 from repro.errors import JxtaError, SecurityError
 from repro.jxta.messages import Message
-from repro.sim.metrics import Metrics
 from repro.utils.encoding import b64encode
 from repro.xmllib import Element
 
@@ -52,7 +51,7 @@ def build_task_request(task_name: str, argument: str, keystore: Keystore,
 def handle_task_request(message: Message, keystore: Keystore,
                         tasks: dict, acl: set[str] | None,
                         policy: SecurityPolicy, drbg: HmacDrbg,
-                        now: float, metrics: Metrics) -> Message:
+                        now: float, metrics: obs.Registry) -> Message:
     """Executor side: authenticate, authorize, execute, seal the result."""
     def fail(reason: str) -> Message:
         metrics.incr("secure_task.refused")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro import wire
+from repro import obs, wire
 from repro.core.keystore import Keystore
 from repro.core.policy import SecurityPolicy
 from repro.core.secure_rpc import (
@@ -48,7 +48,6 @@ from repro.crypto.rsa import PublicKey
 from repro.errors import JxtaError, SecurityError, UnknownSessionError
 from repro.jxta.messages import Message
 from repro.overlay.filesharing import FileStore
-from repro.sim.metrics import Metrics
 from repro.utils.encoding import b64decode, b64encode
 from repro.xmllib import Element
 
@@ -112,7 +111,7 @@ def build_file_request(file_name: str, group: str, keystore: Keystore,
 
 def handle_file_request(message: Message, keystore: Keystore, files: FileStore,
                         validator, policy: SecurityPolicy, drbg: HmacDrbg,
-                        now: float, metrics: Metrics,
+                        now: float, metrics: obs.Registry,
                         resume_store: resume_mod.ReceiverResumeStore | None = None,
                         resume_sessions: resume_mod.SenderResumeCache | None = None
                         ) -> Message:

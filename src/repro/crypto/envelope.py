@@ -77,9 +77,8 @@ def seal(pub: PublicKey, plaintext: bytes, drbg: HmacDrbg | None = None,
     if suite not in SUITES:
         raise ValueError(f"unknown envelope suite {suite!r}")
     registry = obs.get_registry()
-    if registry.enabled:
-        registry.incr("crypto.envelope.seal")
-        registry.observe("crypto.envelope.plaintext_bytes", len(plaintext))
+    registry.incr("crypto.envelope.seal")
+    registry.observe("crypto.envelope.plaintext_bytes", len(plaintext))
     rng = drbg if drbg is not None else system_drbg()
     key_len, nonce_len = SUITES[suite]
     cek = rng.generate(key_len)
@@ -148,10 +147,9 @@ def seal_many(pubs: Iterable[PublicKey], plaintext: bytes,
     if not pubs:
         raise ValueError("seal_many needs at least one recipient")
     registry = obs.get_registry()
-    if registry.enabled:
-        registry.incr("crypto.envelope.seal_many")
-        registry.observe("crypto.envelope.recipients", len(pubs))
-        registry.observe("crypto.envelope.plaintext_bytes", len(plaintext))
+    registry.incr("crypto.envelope.seal_many")
+    registry.observe("crypto.envelope.recipients", len(pubs))
+    registry.observe("crypto.envelope.plaintext_bytes", len(plaintext))
     rng = drbg if drbg is not None else system_drbg()
     key_len, nonce_len = SUITES[suite]
     cek = rng.generate(key_len)

@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
+from repro import obs
 from repro.errors import FrameTooLargeError, JxtaError, NetworkError, TransportError
 from repro.jxta.messages import Message
 from repro.jxta.transport.base import PlainTransport, SecureTransport
 from repro.net.base import Frame, Transport
-from repro.sim.metrics import Metrics
 
 MessageHandler = Callable[[Message, str], Message | None]
 """Receives (message, source_address); may return a response message."""
@@ -50,7 +50,8 @@ class Endpoint:
         self.net = network
         self.address = address
         self.transport = transport if transport is not None else PlainTransport()
-        self.metrics = Metrics()
+        #: this endpoint's own counters (the process registry is shared)
+        self.metrics = obs.Registry()
         self._handlers: dict[str, MessageHandler] = {}
         self._default_handler: MessageHandler | None = None
         self._wire = None  # set by configure(wire=True)

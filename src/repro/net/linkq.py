@@ -328,7 +328,6 @@ class LinkScheduler:
             self._flushing.discard(link)
 
     def _ship(self, src: str, dst: str, unit: list[bytes], size: int) -> bool:
-        registry = obs.get_registry()
         if len(unit) == 1:
             ok = self._send_single(src, dst, unit[0])
         else:
@@ -336,14 +335,13 @@ class LinkScheduler:
             payload = framing.encode_batch_payload(
                 unit, compress_level=level,
                 min_compress_bytes=self.policy.min_compress_bytes)
-            if registry.enabled:
-                _M_BATCH_UNITS.incr()
-                _M_BATCH_FRAMES.observe(len(unit))
-                if payload and payload[0] & framing.BATCH_FLAG_ZLIB:
-                    _M_C_UNITS.incr()
-                    _M_C_IN.incr(size)
-                    _M_C_OUT.incr(len(payload))
-                    _M_C_RATIO.observe(len(payload) / max(1, size))
+            _M_BATCH_UNITS.incr()
+            _M_BATCH_FRAMES.observe(len(unit))
+            if payload and payload[0] & framing.BATCH_FLAG_ZLIB:
+                _M_C_UNITS.incr()
+                _M_C_IN.incr(size)
+                _M_C_OUT.incr(len(payload))
+                _M_C_RATIO.observe(len(payload) / max(1, size))
             ok = self._send_batch(src, dst, payload)
         breaker = self._breaker(dst)
         if breaker is not None:

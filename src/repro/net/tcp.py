@@ -66,6 +66,17 @@ from repro.net.clock import WallClock
 _SHUTDOWN_GRACE = 5.0
 
 
+async def _abort(writers: list[asyncio.StreamWriter]) -> None:
+    """Drop connections at once, discarding bytes they still buffer.
+
+    Used when the loop is about to stop: those bytes would never be
+    written, and a transport left "closing" would leak its socket.
+    """
+    for writer in writers:
+        writer.transport.abort()
+    await asyncio.sleep(0)  # let the transports' connection_lost run
+
+
 @dataclass
 class _EndpointState:
     """Everything the transport tracks for one registered address."""
@@ -701,6 +712,9 @@ class TcpTransport:
             addresses = list(self._endpoints)
         if self.scheduler is not None:
             self.scheduler.flush_all()
+        # A pooled connection whose write buffer is still full only
+        # *starts* closing on unregister; it is aborted below.
+        writers = [conn.writer for conn in list(self._conns.values())]
         for address in addresses:
             self.unregister(address)
         with self._lock:
@@ -711,6 +725,7 @@ class TcpTransport:
             # against a closed loop at GC time.
             try:
                 self._run(self._drain_tasks(), _SHUTDOWN_GRACE)
+                self._run(_abort(writers), _SHUTDOWN_GRACE)
             except NetworkError:
                 pass
         with self._lock:

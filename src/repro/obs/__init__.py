@@ -10,10 +10,8 @@ Three cooperating, individually usable pieces (see
   (``on_login``, ``on_replay_blocked``, ...).
 
 Everything records to process-local defaults swappable via
-``set_registry`` / ``set_tracer`` / ``set_events``; setting the
-environment variable ``REPRO_OBS_DISABLED=1`` (before import) starts the
-default registry disabled, which turns every instrumentation point into
-a single-branch no-op.
+``set_registry`` / ``set_tracer`` / ``set_events``.  Recording is always
+on: there is no off switch.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from repro.obs.events import (
     set_events,
 )
 from repro.obs.metrics import (
-    DISABLE_ENV,
     Counter,
     Gauge,
     Histogram,
@@ -168,15 +165,12 @@ def metric_pattern_for(name: str) -> str | None:
 def timed_handler(name: str, handler: Callable) -> Callable:
     """Wrap a broker/endpoint message handler with call + latency metrics.
 
-    Produces ``<name>.calls`` and ``<name>.latency_ms``; with the
-    registry disabled the wrapper is one branch on top of the handler.
+    Produces ``<name>.calls`` and ``<name>.latency_ms``.
     """
 
     @functools.wraps(handler)
     def wrapped(message, src):
         registry = get_registry()
-        if not registry.enabled:
-            return handler(message, src)
         registry.incr(f"{name}.calls")
         with registry.time(f"{name}.latency_ms"):
             return handler(message, src)
@@ -185,7 +179,6 @@ def timed_handler(name: str, handler: Callable) -> Callable:
 
 
 __all__ = [
-    "DISABLE_ENV",
     "HOOKS",
     "METRIC_PATTERNS",
     "Counter",

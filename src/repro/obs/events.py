@@ -82,8 +82,7 @@ class ProtocolEvents:
     def emit(self, hook: str, **payload: Any) -> None:
         self._check(hook)
         reg = self._reg()
-        if reg.enabled:
-            reg.incr(f"events.{hook}")
+        reg.incr(f"events.{hook}")
         listeners = self._listeners.get(hook)
         if not listeners:
             return

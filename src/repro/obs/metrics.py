@@ -6,9 +6,9 @@ overlay, secure core — can instrument itself without creating cycles.
 
 Design goals, in order:
 
-1. **Cheap when disabled.**  Every recording path starts with a single
-   ``enabled`` check; a disabled registry performs no clock reads, no
-   dict lookups and no allocations (the opt-out the benchmarks need).
+1. **Always on, and cheap.**  There is no off switch: every recording
+   path is a dict lookup and an add, and hot paths hold an
+   :class:`InternedCounter` to skip even the lookup.
 2. **Bounded memory.**  Histograms keep exact count/sum/min/max forever
    but retain at most ``max_samples`` observations for the percentile
    estimates (ring-buffer overwrite beyond that), so a broker serving
@@ -24,11 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
-
-#: Environment variable that disables the default registry at import time.
-DISABLE_ENV = "REPRO_OBS_DISABLED"
 
 #: Retained observations per histogram (percentiles are computed over the
 #: most recent window once exceeded; count/sum/min/max stay exact).
@@ -38,52 +34,44 @@ DEFAULT_MAX_SAMPLES = 8192
 class Counter:
     """A monotonically increasing named counter."""
 
-    __slots__ = ("name", "value", "_owner")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, owner: "Registry | None" = None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0
-        self._owner = owner
 
     def incr(self, by: int = 1) -> None:
-        if self._owner is not None and not self._owner.enabled:
-            return
         self.value += by
 
 
 class Gauge:
     """A named value that can go up and down (e.g. registered endpoints)."""
 
-    __slots__ = ("name", "value", "_owner")
+    __slots__ = ("name", "value")
 
-    def __init__(self, name: str, owner: "Registry | None" = None) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.value = 0.0
-        self._owner = owner
 
     def set(self, value: float) -> None:
-        if self._owner is not None and not self._owner.enabled:
-            return
         self.value = float(value)
 
     def add(self, delta: float) -> None:
-        if self._owner is not None and not self._owner.enabled:
-            return
         self.value += delta
 
 
 class Histogram:
     """Streaming distribution summary with percentile estimates.
 
-    Usable standalone (``owner=None`` records unconditionally) or through
-    a :class:`Registry`.  ``observe`` keeps exact aggregate moments and a
-    bounded sample window for :meth:`percentile`.
+    Usable standalone or through a :class:`Registry`.  ``observe`` keeps
+    exact aggregate moments and a bounded sample window for
+    :meth:`percentile`.
     """
 
     __slots__ = ("name", "count", "total", "min_value", "max_value",
-                 "_samples", "_sorted", "_max_samples", "_sum_sq", "_owner")
+                 "_samples", "_sorted", "_max_samples", "_sum_sq")
 
-    def __init__(self, name: str = "", owner: "Registry | None" = None,
+    def __init__(self, name: str = "",
                  max_samples: int = DEFAULT_MAX_SAMPLES) -> None:
         if max_samples < 1:
             raise ValueError("max_samples must be >= 1")
@@ -96,13 +84,10 @@ class Histogram:
         self._samples: list[float] = []
         self._sorted: list[float] | None = []
         self._max_samples = max_samples
-        self._owner = owner
 
     # -- recording -----------------------------------------------------------
 
     def observe(self, value: float) -> None:
-        if self._owner is not None and not self._owner.enabled:
-            return
         value = float(value)
         if self.count == 0:
             self.min_value = self.max_value = value
@@ -203,86 +188,56 @@ class _Timer:
         self._histogram.observe((time.perf_counter() - self._t0) * 1e3)
 
 
-class _NullTimer:
-    """Shared no-op timer handed out by a disabled registry."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        return None
-
-
-_NULL_TIMER = _NullTimer()
-
-
 class Registry:
-    """A process-local namespace of counters, gauges and histograms.
+    """A namespace of counters, gauges and histograms.
 
     Instruments are created on first use and live for the registry's
-    lifetime.  All recording honours :attr:`enabled`; a disabled registry
-    is safe to leave wired into hot paths (single branch per call).
+    lifetime.  The process registry (:func:`get_registry`) is what the
+    instrumented layers record to; every overlay endpoint also owns one
+    for its per-endpoint counts (``Endpoint.metrics``).
     """
 
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-
-    # -- switches ------------------------------------------------------------
-
-    def enable(self) -> "Registry":
-        self.enabled = True
-        return self
-
-    def disable(self) -> "Registry":
-        self.enabled = False
-        return self
 
     # -- instrument access ---------------------------------------------------
 
     def counter(self, name: str) -> Counter:
         counter = self._counters.get(name)
         if counter is None:
-            counter = self._counters[name] = Counter(name, owner=self)
+            counter = self._counters[name] = Counter(name)
         return counter
 
     def gauge(self, name: str) -> Gauge:
         gauge = self._gauges.get(name)
         if gauge is None:
-            gauge = self._gauges[name] = Gauge(name, owner=self)
+            gauge = self._gauges[name] = Gauge(name)
         return gauge
 
     def histogram(self, name: str) -> Histogram:
         histogram = self._histograms.get(name)
         if histogram is None:
-            histogram = self._histograms[name] = Histogram(name, owner=self)
+            histogram = self._histograms[name] = Histogram(name)
         return histogram
 
     # -- recording conveniences ----------------------------------------------
 
     def incr(self, name: str, by: int = 1) -> None:
-        if not self.enabled:
-            return
-        self.counter(name).incr(by)
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self.counter(name)
+        counter.value += by
 
     def observe(self, name: str, value: float) -> None:
-        if not self.enabled:
-            return
         self.histogram(name).observe(value)
 
     def set_gauge(self, name: str, value: float) -> None:
-        if not self.enabled:
-            return
         self.gauge(name).set(value)
 
-    def time(self, name: str) -> "_Timer | _NullTimer":
+    def time(self, name: str) -> _Timer:
         """``with registry.time("overlay.login.latency_ms"): ...``"""
-        if not self.enabled:
-            return _NULL_TIMER
         return _Timer(self.histogram(name))
 
     # -- reading -------------------------------------------------------------
@@ -332,8 +287,6 @@ class InternedCounter:
 
     def incr(self, by: int = 1) -> None:
         registry = _REGISTRY
-        if not registry.enabled:
-            return
         if registry is not self._registry:
             self._counter = registry.counter(self.name)
             self._registry = registry
@@ -352,20 +305,14 @@ class InternedHistogram:
 
     def observe(self, value: float) -> None:
         registry = _REGISTRY
-        if not registry.enabled:
-            return
         if registry is not self._registry:
             self._histogram = registry.histogram(self.name)
             self._registry = registry
         self._histogram.observe(value)
 
 
-def _enabled_by_default() -> bool:
-    return os.environ.get(DISABLE_ENV, "").lower() not in ("1", "true", "yes")
-
-
 #: The process-local default registry every instrumented module records to.
-_REGISTRY = Registry(enabled=_enabled_by_default())
+_REGISTRY = Registry()
 
 
 def get_registry() -> Registry:

@@ -67,21 +67,6 @@ class Span:
         return out
 
 
-class _NullSpanContext:
-    """Shared no-op context handed out when tracing is disabled."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc: object) -> None:
-        return None
-
-
-_NULL_SPAN = _NullSpanContext()
-
-
 class _SpanContext:
     __slots__ = ("_tracer", "_span")
 
@@ -102,8 +87,8 @@ class _SpanContext:
 class Tracer:
     """Builds span trees and exports them as JSON.
 
-    ``registry=None`` follows the process default registry — both for the
-    enabled/disabled switch and for the ``span.<name>.ms`` histograms.
+    ``registry=None`` records the ``span.<name>.ms`` histograms into the
+    process default registry.
     """
 
     def __init__(self, registry: Registry | None = None,
@@ -117,17 +102,11 @@ class Tracer:
         return self._registry if self._registry is not None else get_registry()
 
     @property
-    def enabled(self) -> bool:
-        return self._reg().enabled
-
-    @property
     def current(self) -> Span | None:
         """The innermost open span, if any."""
         return self._stack[-1] if self._stack else None
 
-    def span(self, name: str, **attrs: Any) -> "_SpanContext | _NullSpanContext":
-        if not self._reg().enabled:
-            return _NULL_SPAN
+    def span(self, name: str, **attrs: Any) -> _SpanContext:
         span = Span(name, attrs)
         if self._stack:
             self._stack[-1].children.append(span)

@@ -9,6 +9,7 @@ message/advertisement plumbing that both sides use.
 
 from __future__ import annotations
 
+from repro import obs
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import AdvertisementError, OverlayError
 from repro.jxta.advertisements import Advertisement, PipeAdvertisement
@@ -20,7 +21,6 @@ from repro.jxta.pipes import InputPipe, OutputPipe, PipeRegistry
 from repro.jxta.transport.base import SecureTransport
 from repro.net.base import Transport
 from repro.overlay.events import EventBus
-from repro.sim.metrics import Metrics
 from repro.xmllib import Element
 
 RESULTS_TAG = "Results"
@@ -74,7 +74,7 @@ class ControlModule:
         self.drbg = drbg
         self.address = address
         self.endpoint = Endpoint(network, address, transport=transport)
-        self.metrics: Metrics = self.endpoint.metrics
+        self.metrics: obs.Registry = self.endpoint.metrics
         self.pipes = PipeRegistry(self.endpoint)
         self.cache = AdvertisementCache(self.clock, lifetime=adv_lifetime)
         self.events = EventBus()

@@ -306,9 +306,8 @@ class Federation:
 
     def _gauges(self) -> None:
         registry = obs.get_registry()
-        if registry.enabled:
-            registry.set_gauge("fed.members", len(self.members))
-            registry.set_gauge("fed.owned_entries", len(self.cache))
+        registry.set_gauge("fed.members", len(self.members))
+        registry.set_gauge("fed.owned_entries", len(self.cache))
 
     # -- membership --------------------------------------------------------
 

@@ -167,9 +167,8 @@ class CircuitBreaker:
             return
         self.state = state
         registry = obs.get_registry()
-        if registry.enabled:
-            registry.set_gauge("policy.breaker.state", self._STATE_GAUGE[state])
-            registry.incr("policy.breaker.transitions")
+        registry.set_gauge("policy.breaker.state", self._STATE_GAUGE[state])
+        registry.incr("policy.breaker.transitions")
         obs.emit("on_breaker_state", name=self.name, state=state)
 
     def before_call(self) -> None:
@@ -238,9 +237,8 @@ def run_with_retry(attempt: Callable[[], T], *, clock: VirtualClock,
                 timeout_exc.attempts = attempts
                 raise timeout_exc from exc
             registry = obs.get_registry()
-            if registry.enabled:
-                registry.incr(f"overlay.{primitive}.retries")
-                registry.observe("policy.retry.backoff_ms", delay * 1e3)
+            registry.incr(f"overlay.{primitive}.retries")
+            registry.observe("policy.retry.backoff_ms", delay * 1e3)
             obs.emit("on_retry", peer=peer, primitive=primitive,
                      attempt=attempts, reason=str(exc))
             clock.advance(delay)

@@ -70,29 +70,25 @@ def primitive(category: str, secure: bool = False) -> Callable[[F], F]:
         def wrapper(self, *args, **kwargs):
             self.metrics.incr(f"primitive.{info.name}")
             registry = obs.get_registry()
+            registry.incr(f"overlay.{info.name}.calls")
+            bytes0 = registry.counter("net.bytes_sent").value
+            frames0 = registry.counter("net.frames_sent").value
             _ACTIVE.append(info.name)
+            t0 = time.perf_counter()
             try:
-                if not registry.enabled:
-                    return func(self, *args, **kwargs)
-                registry.incr(f"overlay.{info.name}.calls")
-                bytes0 = registry.counter("net.bytes_sent").value
-                frames0 = registry.counter("net.frames_sent").value
-                t0 = time.perf_counter()
-                try:
-                    return func(self, *args, **kwargs)
-                except Exception:
-                    registry.incr(f"overlay.{info.name}.errors")
-                    raise
-                finally:
-                    registry.observe(f"overlay.{info.name}.latency_ms",
-                                     (time.perf_counter() - t0) * 1e3)
-                    registry.observe(
-                        f"overlay.{info.name}.bytes_sent",
-                        registry.counter("net.bytes_sent").value - bytes0)
-                    registry.observe(
-                        f"overlay.{info.name}.frames_sent",
-                        registry.counter("net.frames_sent").value - frames0)
+                return func(self, *args, **kwargs)
+            except Exception:
+                registry.incr(f"overlay.{info.name}.errors")
+                raise
             finally:
+                registry.observe(f"overlay.{info.name}.latency_ms",
+                                 (time.perf_counter() - t0) * 1e3)
+                registry.observe(
+                    f"overlay.{info.name}.bytes_sent",
+                    registry.counter("net.bytes_sent").value - bytes0)
+                registry.observe(
+                    f"overlay.{info.name}.frames_sent",
+                    registry.counter("net.frames_sent").value - frames0)
                 _ACTIVE.pop()
 
         wrapper.primitive_info = info  # type: ignore[attr-defined]

@@ -274,17 +274,17 @@ class ScenarioEngine:
     # -- metric bookkeeping ------------------------------------------------
 
     def _counters(self) -> dict[str, int]:
-        """Global obs counters plus per-broker Metrics, summed by name.
+        """Process counters plus each broker's own counters, summed by name.
 
-        Broker function counters (``fn.*``) live in each endpoint's
-        local :class:`~repro.sim.metrics.Metrics`; the phase report
-        wants the fleet-wide taxonomy, so both sources fold together.
+        Broker function counters (``fn.*``) live in each endpoint's own
+        registry (``Endpoint.metrics``); the phase report wants the
+        fleet-wide taxonomy, so both sources fold together.
         """
         registry = obs.get_registry()
         out = {name: registry.count(name)
                for name in registry.metric_names()}
         for broker in self.scenario.brokers.values():
-            for name, count in broker.metrics.counters.items():
+            for name, count in broker.metrics.snapshot()["counters"].items():
                 out[name] = out.get(name, 0) + count
         return out
 

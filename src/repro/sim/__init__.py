@@ -19,8 +19,7 @@ from repro.sim.faults import (
     Partition,
 )
 from repro.sim.latency import CAMPUS, LAN_2009, LOOPBACK, PROFILES, WAN_ADSL, LinkModel
-from repro.sim.metrics import Metrics
-from repro.sim.network import Frame, NetworkStats, SimNetwork
+from repro.sim.network import Frame, SimNetwork
 from repro.sim.rng import SimRandom
 from repro.sim.scheduler import EventHandle, Scheduler
 
@@ -30,7 +29,6 @@ __all__ = [
     "EventHandle",
     "SimNetwork",
     "Frame",
-    "NetworkStats",
     "LinkModel",
     "LAN_2009",
     "LOOPBACK",
@@ -38,7 +36,6 @@ __all__ = [
     "CAMPUS",
     "PROFILES",
     "SimRandom",
-    "Metrics",
     "Fault",
     "FaultPlan",
     "FaultInjector",

@@ -43,7 +43,6 @@ as every endpoint of a process shares one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
 from repro import obs
@@ -58,8 +57,8 @@ from repro.sim.latency import LAN_2009, LinkModel
 if TYPE_CHECKING:
     from repro.net.linkq import LinkPolicy, LinkScheduler
 
-__all__ = ["Frame", "Handler", "Interceptor", "NetworkStats", "SIM_BATCH_MAGIC",
-           "SimNetwork", "Tap"]
+__all__ = ["Frame", "Handler", "Interceptor", "SIM_BATCH_MAGIC", "SimNetwork",
+           "Tap"]
 
 #: Prefix marking a simulated BATCH wire unit.  Serialized overlay
 #: messages are JSON or sealed-envelope bytes and never start with a
@@ -75,35 +74,17 @@ _M_FRAMES_DELIVERED = obs.InternedCounter("net.frames_delivered")
 _M_FRAMES_DROPPED = obs.InternedCounter("net.frames_dropped")
 
 
-@dataclass
-class NetworkStats:
-    """Aggregate traffic counters (feeds the benchmark reports)."""
-
-    frames_sent: int = 0
-    frames_delivered: int = 0
-    frames_dropped: int = 0
-    bytes_sent: int = 0
-    per_dst_bytes: dict[str, int] = field(default_factory=dict)
-
-    def record(self, frame: Frame, delivered: bool) -> None:
-        self.frames_sent += 1
-        self.bytes_sent += frame.size
-        if delivered:
-            self.frames_delivered += 1
-            self.per_dst_bytes[frame.dst] = self.per_dst_bytes.get(frame.dst, 0) + frame.size
-        else:
-            self.frames_dropped += 1
-        registry = obs.get_registry()
-        if registry.enabled:
-            _M_FRAMES_SENT.incr()
-            _M_BYTES_SENT.incr(frame.size)
-            _M_FRAME_BYTES.observe(frame.size)
-            if delivered:
-                _M_FRAMES_DELIVERED.incr()
-            else:
-                _M_FRAMES_DROPPED.incr()
-                obs.emit("on_frame_dropped", src=frame.src, dst=frame.dst,
-                         n_bytes=frame.size)
+def _record(frame: Frame, delivered: bool) -> None:
+    """Count one frame put on a link (the bench reads traffic from here)."""
+    _M_FRAMES_SENT.incr()
+    _M_BYTES_SENT.incr(frame.size)
+    _M_FRAME_BYTES.observe(frame.size)
+    if delivered:
+        _M_FRAMES_DELIVERED.incr()
+    else:
+        _M_FRAMES_DROPPED.incr()
+        obs.emit("on_frame_dropped", src=frame.src, dst=frame.dst,
+                 n_bytes=frame.size)
 
 
 class SimNetwork:
@@ -123,7 +104,6 @@ class SimNetwork:
         self._interceptors: list[Interceptor] = []
         self._jitter_draw = jitter_draw
         self._loss_draw = loss_draw
-        self.stats = NetworkStats()
         #: nesting depth of in-flight send/request calls (drain boundary)
         self._op_depth = 0
         #: addresses whose handler is running, innermost last
@@ -278,12 +258,12 @@ class SimNetwork:
             frame = Frame(src=src, dst=dst, payload=bytes(payload), sent_at=self.clock.now)
             out = self._through_adversaries(frame)
             if out is None or out.dst not in self._handlers:
-                self.stats.record(frame, delivered=False)
+                _record(frame, delivered=False)
                 return False
             if not self._transit(out):
-                self.stats.record(out, delivered=False)
+                _record(out, delivered=False)
                 return False
-            self.stats.record(out, delivered=True)
+            _record(out, delivered=True)
             if out.dst in self._running:
                 self.reentrant_deliveries += 1
             self._deliver(out)
@@ -308,12 +288,12 @@ class SimNetwork:
             frame = Frame(src=src, dst=dst, payload=bytes(payload), sent_at=self.clock.now)
             out = self._through_adversaries(frame)
             if out is None or out.dst not in self._handlers:
-                self.stats.record(frame, delivered=False)
+                _record(frame, delivered=False)
                 raise NetworkError(f"request from {src!r} to {dst!r} was dropped")
             if not self._transit(out):
-                self.stats.record(out, delivered=False)
+                _record(out, delivered=False)
                 raise NetworkError(f"request from {src!r} to {dst!r} was lost in transit")
-            self.stats.record(out, delivered=True)
+            _record(out, delivered=True)
             with self.clock.cpu_section():
                 response = self._deliver(out)
             if response is None:
@@ -321,12 +301,12 @@ class SimNetwork:
             back = Frame(src=out.dst, dst=src, payload=bytes(response), sent_at=self.clock.now)
             back_out = self._through_adversaries(back)
             if back_out is None:
-                self.stats.record(back, delivered=False)
+                _record(back, delivered=False)
                 raise NetworkError(f"response from {out.dst!r} to {src!r} was dropped")
             if not self._transit(back_out):
-                self.stats.record(back_out, delivered=False)
+                _record(back_out, delivered=False)
                 raise NetworkError(f"response from {out.dst!r} to {src!r} was lost in transit")
-            self.stats.record(back_out, delivered=True)
+            _record(back_out, delivered=True)
             return back_out.payload
         finally:
             self._end_op()

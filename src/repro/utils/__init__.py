@@ -8,7 +8,6 @@ from repro.utils.bytesutil import (
     xor_bytes,
 )
 from repro.utils.encoding import b64decode, b64encode, from_hex, to_hex
-from repro.utils.timing import Stopwatch
 
 __all__ = [
     "b2i",
@@ -20,5 +19,4 @@ __all__ = [
     "b64decode",
     "to_hex",
     "from_hex",
-    "Stopwatch",
 ]

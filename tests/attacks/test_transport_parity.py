@@ -56,7 +56,7 @@ def _wait_for(predicate, timeout: float = 10.0) -> bool:
 def _plain_attack_trace(net) -> dict:
     """Eavesdropping, DNS spoofing and tampering against the plain stack."""
     saved = obs.get_registry()
-    obs.set_registry(obs.Registry(enabled=True))
+    obs.set_registry(obs.Registry())
     try:
         root = HmacDrbg(b"attack-parity-plain")
         admin = Administrator(root.fork(b"admin"),
@@ -113,7 +113,7 @@ def _plain_attack_trace(net) -> dict:
 def _secure_attack_trace(net) -> dict:
     """Replay and malformed-frame attacks against the secure stack."""
     saved = obs.get_registry()
-    registry = obs.set_registry(obs.Registry(enabled=True))
+    registry = obs.set_registry(obs.Registry())
     try:
         root = HmacDrbg(b"attack-parity-secure")
         admin = Administrator(root.fork(b"admin"),

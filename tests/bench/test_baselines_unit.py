@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.bench.tls_cbjx import CbjxEchoPair, TlsClientDriver, TlsRecordServer
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import TransportError
@@ -27,9 +28,9 @@ class TestTlsDriver:
         TlsRecordServer(net, "srv", kp1024, HmacDrbg(b"s"))
         driver = TlsClientDriver(net, "cli", "srv", HmacDrbg(b"c"))
         driver.handshake()
-        frames = net.stats.frames_sent
+        frames = obs.get_registry().count("net.frames_sent")
         driver.send(b"payload")
-        assert net.stats.frames_sent - frames == 1
+        assert obs.get_registry().count("net.frames_sent") - frames == 1
 
     def test_send_before_handshake_rejected(self, net, kp1024):
         server = TlsRecordServer(net, "srv", kp1024, HmacDrbg(b"s"))

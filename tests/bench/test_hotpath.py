@@ -43,8 +43,7 @@ class TestLayerLadder:
     def test_ladder_rows_and_normalization(self):
         rows = profile.layer_ladder(messages=4)
         assert [row["layer"] for row in rows] == [
-            "plain", "+wire", "+obs", "+secure (stateless)",
-            "+secure resumed"]
+            "plain", "+wire", "+secure (stateless)", "+secure resumed"]
         assert rows[0]["x_vs_plain"] == pytest.approx(1.0)
         for row in rows:
             assert row["delivered"] == row["messages"] == 4

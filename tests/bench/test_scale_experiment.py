@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +141,6 @@ class TestRegressionGate:
 class TestCommittedBaseline:
     def test_quick_run_passes_the_committed_gate(self, quick_doc, tmp_path):
         baseline = json.loads(
-            open("benchmarks/baselines/BENCH_SCALE.json",
-                 encoding="utf-8").read())
+            Path("benchmarks/baselines/BENCH_SCALE.json").read_text(
+                encoding="utf-8"))
         assert regressions("scale", quick_doc, baseline) == []

@@ -26,7 +26,7 @@ GROUP = "game"
 @contextlib.contextmanager
 def fresh_registry():
     saved = obs.get_registry()
-    registry = obs.set_registry(obs.Registry(enabled=True))
+    registry = obs.set_registry(obs.Registry())
     try:
         yield registry
     finally:
@@ -136,7 +136,7 @@ class TestEpochRotation:
         world.alice.secure_msg_peer_group(GROUP, "solo")
         world.bob.secure_join_group(GROUP)  # rotates; alice doesn't know
         assert world.alice.secure_msg_peer_group(GROUP, "hello bob") == 1
-        assert world.alice.metrics.counters["client.group_cast_stale_retry"] == 1
+        assert world.alice.metrics.count("client.group_cast_stale_retry") == 1
         assert "hello bob" in _texts(world.bob)
 
     def test_leaver_cannot_read_later_frames(self, cast_world):

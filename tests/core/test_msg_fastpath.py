@@ -22,7 +22,7 @@ class BaselineWorld(SecureWorld):
 
 @pytest.fixture()
 def registry():
-    registry = obs.Registry(enabled=True)
+    registry = obs.Registry()
     saved = obs.set_registry(registry)
     yield registry
     obs.set_registry(saved)
@@ -137,7 +137,7 @@ class TestMixedPolicyInterop:
         stateless behavior — every message is an independent envelope."""
         w = BaselineWorld()
         w.join_all()
-        registry = obs.Registry(enabled=True)
+        registry = obs.Registry()
         saved = obs.set_registry(registry)
         try:
             for i in range(3):

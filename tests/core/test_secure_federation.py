@@ -21,7 +21,7 @@ from tests.conftest import TEST_POLICY, cached_keypair
 @contextlib.contextmanager
 def fresh_registry():
     saved = obs.get_registry()
-    registry = obs.set_registry(obs.Registry(enabled=True))
+    registry = obs.set_registry(obs.Registry())
     try:
         yield registry
     finally:

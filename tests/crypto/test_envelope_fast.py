@@ -249,7 +249,7 @@ class TestReceiverResumeStore:
         assert len(store) == 0
 
     def test_replay_blocked_emits_hook(self):
-        registry = obs.Registry(enabled=True)
+        registry = obs.Registry()
         saved = (obs.get_registry(), obs.get_events())
         obs.set_registry(registry)
         obs.set_events(obs.ProtocolEvents(registry=registry))

@@ -111,7 +111,7 @@ class TestRing:
 
     def test_taxonomy_counters(self):
         saved = obs.get_registry()
-        registry = obs.set_registry(obs.Registry(enabled=True))
+        registry = obs.set_registry(obs.Registry())
         try:
             ring = groupkey.GroupKeyRing("chess", history=1)
             ring.install(1, SECRET)

@@ -10,7 +10,7 @@ from tests.conftest import cached_keypair
 
 @pytest.fixture()
 def registry():
-    registry = obs.Registry(enabled=True)
+    registry = obs.Registry()
     saved = obs.set_registry(registry)
     yield registry
     obs.set_registry(saved)

@@ -51,7 +51,7 @@ def _wait_for(predicate, timeout: float = 10.0) -> bool:
 def _run_secure_flow(net, batched: bool = False) -> dict:
     """The whole flow on ``net``; returns the observable trace."""
     saved = obs.get_registry()
-    obs.set_registry(obs.Registry(enabled=True))
+    obs.set_registry(obs.Registry())
     received: dict[str, list[str]] = {}
     texts: list[str] = []
     try:
@@ -198,7 +198,7 @@ class TestHostileDocuments:
         undecodable; it must not escape as a RecursionError into the
         transport's handler."""
         saved = obs.get_registry()
-        registry = obs.Registry(enabled=True)
+        registry = obs.Registry()
         obs.set_registry(registry)
         try:
             with contextlib.ExitStack() as stack:

@@ -75,15 +75,6 @@ def test_clear_unsubscribes_all(fresh_obs):
     assert bus.listeners("on_connect") == []
 
 
-def test_disabled_registry_suppresses_counting_not_delivery(fresh_obs):
-    fresh_obs.disable()
-    seen = []
-    obs.on("on_connect", lambda **kw: seen.append(kw))
-    obs.emit("on_connect", peer="p", broker="b", secure=False)
-    assert len(seen) == 1  # hooks still fire for attack harnesses
-    assert fresh_obs.metric_names() == []
-
-
 def test_catalogue_documents_payload_for_every_hook():
     assert HOOKS  # non-empty
     for hook, payload in HOOKS.items():
@@ -92,7 +83,7 @@ def test_catalogue_documents_payload_for_every_hook():
 
 
 def test_own_registry_overrides_default(fresh_obs):
-    private = obs.Registry(enabled=True)
+    private = obs.Registry()
     bus = ProtocolEvents(registry=private)
     bus.emit("on_logout", peer="p", username="u")
     assert private.count("events.on_logout") == 1

@@ -1,17 +1,10 @@
-"""Counter/gauge/histogram math and the registry switch."""
+"""Counter/gauge/histogram math and the registry."""
 
 import json
 
 import pytest
 
-from repro.obs.metrics import (
-    DISABLE_ENV,
-    Counter,
-    Gauge,
-    Histogram,
-    Registry,
-    _enabled_by_default,
-)
+from repro.obs.metrics import Counter, Gauge, Histogram, Registry
 
 
 class TestCounter:
@@ -20,15 +13,6 @@ class TestCounter:
         c.incr()
         c.incr(41)
         assert c.value == 42
-
-    def test_disabled_owner_freezes(self):
-        reg = Registry(enabled=False)
-        c = reg.counter("x")
-        c.incr()
-        assert c.value == 0
-        reg.enable()
-        c.incr()
-        assert c.value == 1
 
 
 class TestGauge:
@@ -132,19 +116,6 @@ class TestRegistry:
         assert h.count == 1
         assert h.min_value >= 0.0
 
-    def test_disabled_registry_records_nothing(self):
-        reg = Registry(enabled=False)
-        reg.incr("hits")
-        reg.observe("lat", 1.0)
-        reg.set_gauge("depth", 9)
-        with reg.time("op"):
-            pass
-        assert reg.metric_names() == []
-
-    def test_disabled_timer_is_shared_noop(self):
-        reg = Registry(enabled=False)
-        assert reg.time("a") is reg.time("b")
-
     def test_snapshot_and_json_roundtrip(self):
         reg = Registry()
         reg.incr("c")
@@ -161,18 +132,3 @@ class TestRegistry:
         reg.incr("c")
         reg.reset()
         assert reg.metric_names() == []
-
-    def test_enable_disable_chain(self):
-        reg = Registry(enabled=False)
-        assert reg.enable().enabled is True
-        assert reg.disable().enabled is False
-
-
-class TestDisableEnv:
-    def test_env_values(self, monkeypatch):
-        for value, expect in (("1", False), ("true", False), ("YES", False),
-                              ("", True), ("0", True)):
-            monkeypatch.setenv(DISABLE_ENV, value)
-            assert _enabled_by_default() is expect
-        monkeypatch.delenv(DISABLE_ENV)
-        assert _enabled_by_default() is True

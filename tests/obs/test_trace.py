@@ -1,11 +1,11 @@
-"""Span nesting, error capture, export, and the disabled fast path."""
+"""Span nesting, error capture and export."""
 
 import json
 
 import pytest
 
 from repro import obs
-from repro.obs.trace import _NULL_SPAN, Tracer
+from repro.obs.trace import Tracer
 
 
 def test_nested_spans_build_one_tree(fresh_obs):
@@ -55,17 +55,6 @@ def test_inner_exception_unwinds_outer_stack(fresh_obs):
     assert tracer.current is None
     assert len(tracer.finished) == 1
     assert tracer.finished[0].children[0].error == "ValueError: bad"
-
-
-def test_disabled_tracing_is_a_shared_noop(fresh_obs):
-    fresh_obs.disable()
-    tracer = obs.get_tracer()
-    ctx = obs.span("secureLogin")
-    assert ctx is _NULL_SPAN
-    with ctx:
-        pass
-    assert tracer.finished == []
-    assert fresh_obs.metric_names() == []
 
 
 def test_max_traces_evicts_oldest(fresh_obs):

@@ -18,9 +18,9 @@ from repro.sim.scheduler import Scheduler
 
 @contextlib.contextmanager
 def fresh_registry():
-    """An isolated, enabled metrics registry for one assertion block."""
+    """An isolated metrics registry for one assertion block."""
     saved = obs.get_registry()
-    registry = obs.set_registry(obs.Registry(enabled=True))
+    registry = obs.set_registry(obs.Registry())
     try:
         yield registry
     finally:

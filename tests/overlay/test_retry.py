@@ -39,7 +39,7 @@ from repro.sim import FaultPlan, FrameLoss, VirtualClock
 @pytest.fixture()
 def fresh_obs():
     saved = (obs.get_registry(), obs.get_events())
-    registry = obs.set_registry(obs.Registry(enabled=True))
+    registry = obs.set_registry(obs.Registry())
     obs.set_events(obs.ProtocolEvents(registry=registry))
     try:
         yield registry

@@ -25,7 +25,7 @@ from tests.conftest import TEST_POLICY
 @pytest.fixture()
 def registry():
     saved = obs.get_registry()
-    registry = obs.set_registry(obs.Registry(enabled=True))
+    registry = obs.set_registry(obs.Registry())
     yield registry
     obs.set_registry(saved)
 
@@ -180,7 +180,7 @@ class TestFrameStorm:
 class TestDeterminism:
     def run_once(self):
         saved = obs.get_registry()
-        obs.set_registry(obs.Registry(enabled=True))
+        obs.set_registry(obs.Registry())
         try:
             scn, pool, engine = secure_world()
             pool.provision(Cohort("c", 30, groups=("g0",),

@@ -31,7 +31,7 @@ from repro.sim import (
 @pytest.fixture()
 def fresh_obs():
     saved = (obs.get_registry(), obs.get_events())
-    registry = obs.set_registry(obs.Registry(enabled=True))
+    registry = obs.set_registry(obs.Registry())
     obs.set_events(obs.ProtocolEvents(registry=registry))
     try:
         yield registry

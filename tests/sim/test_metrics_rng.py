@@ -1,15 +1,21 @@
-"""Metrics registry and deterministic sim randomness."""
+"""Per-endpoint counters and deterministic sim randomness."""
 
-from repro.sim import Metrics, SimRandom
+from repro import obs
+from repro.jxta.endpoint import Endpoint
+from repro.sim import SimNetwork, SimRandom
 
 
 class TestMetrics:
     def test_counters(self):
-        m = Metrics()
+        endpoint = Endpoint(SimNetwork(), "peer")
+        m = endpoint.metrics
+        assert isinstance(m, obs.Registry)
+        shared = obs.get_registry().count("x")
         m.incr("x")
         m.incr("x", 4)
         assert m.count("x") == 5
         assert m.count("missing") == 0
+        assert obs.get_registry().count("x") == shared
 
 
 class TestSimRandom:

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import obs
 from repro.errors import NetworkError
 from repro.sim import LinkModel, SimNetwork, VirtualClock
 from repro.sim.network import Frame
@@ -152,20 +153,26 @@ class TestInterceptors:
             net.request("client", "server", b"q")
 
 
+@pytest.fixture()
+def registry():
+    saved = obs.get_registry()
+    yield obs.set_registry(obs.Registry())
+    obs.set_registry(saved)
+
+
 class TestStats:
-    def test_counters(self, net):
+    def test_counters(self, net, registry):
         net.register("dst", lambda f: None)
         net.send("src", "dst", b"12345")
-        assert net.stats.frames_sent == 1
-        assert net.stats.frames_delivered == 1
-        assert net.stats.bytes_sent == 5
-        assert net.stats.per_dst_bytes["dst"] == 5
+        assert registry.count("net.frames_sent") == 1
+        assert registry.count("net.frames_delivered") == 1
+        assert registry.count("net.bytes_sent") == 5
 
-    def test_drop_counted(self, net):
+    def test_drop_counted(self, net, registry):
         net.register("dst", lambda f: None)
         net.add_interceptor(lambda f: None)
         net.send("src", "dst", b"x")
-        assert net.stats.frames_dropped == 1
+        assert registry.count("net.frames_dropped") == 1
 
 
 class TestFrame:

@@ -19,9 +19,9 @@ __all__ = ["add_field", "build", "fresh_registry", "mutations",
 
 @contextlib.contextmanager
 def fresh_registry():
-    """Swap in an enabled metrics registry; restore on exit."""
+    """Swap in a fresh metrics registry; restore on exit."""
     saved = obs.get_registry()
-    registry = obs.set_registry(obs.Registry(enabled=True))
+    registry = obs.set_registry(obs.Registry())
     try:
         yield registry
     finally:
