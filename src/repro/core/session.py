@@ -14,6 +14,7 @@ each issue, so the store cannot grow without bound.
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -34,7 +35,12 @@ class _PendingSid:
 
 
 class SidStore:
-    """Broker-side store of outstanding session identifiers."""
+    """Broker-side store of outstanding session identifiers.
+
+    Every method holds one lock: on sockets the broker's handler threads
+    share the store, and ``sweep`` iterating while ``issue`` inserts
+    raises ``OrderedDict mutated during iteration``.
+    """
 
     def __init__(self, clock: VirtualClock, drbg: HmacDrbg,
                  lifetime: float = DEFAULT_SID_LIFETIME) -> None:
@@ -42,28 +48,31 @@ class SidStore:
         self._drbg = drbg
         self.lifetime = lifetime
         self._pending: OrderedDict[str, _PendingSid] = OrderedDict()
+        self._lock = threading.Lock()
         self.issued_total = 0
         self.replays_blocked = 0
 
     def issue(self, client_address: str) -> str:
         """Mint a fresh sid for a connecting client."""
         sid = self._drbg.generate(SID_BYTES).hex()
-        now = self._clock.now
-        self._pending[sid] = _PendingSid(
-            sid=sid, issued_at=now, expires_at=now + self.lifetime,
-            client_address=client_address)
-        self.issued_total += 1
+        with self._lock:
+            now = self._clock.now
+            self._pending[sid] = _PendingSid(
+                sid=sid, issued_at=now, expires_at=now + self.lifetime,
+                client_address=client_address)
+            self.issued_total += 1
         return sid
 
     def consume(self, sid: str) -> None:
         """Use up a sid; raises :class:`ReplayError` if absent or expired."""
-        entry = self._pending.pop(sid, None)
-        if entry is None:
-            self.replays_blocked += 1
-            raise ReplayError("session identifier unknown or already used")
-        if self._clock.now > entry.expires_at:
-            self.replays_blocked += 1
-            raise ReplayError("session identifier expired")
+        with self._lock:
+            entry = self._pending.pop(sid, None)
+            if entry is None:
+                self.replays_blocked += 1
+                raise ReplayError("session identifier unknown or already used")
+            if self._clock.now > entry.expires_at:
+                self.replays_blocked += 1
+                raise ReplayError("session identifier expired")
 
     def reset(self) -> None:
         """Forget every outstanding sid (broker crash: RAM state is gone).
@@ -73,7 +82,8 @@ class SidStore:
         pre-crash sid replayed against the restarted broker is rejected
         exactly like any unknown sid.
         """
-        self._pending.clear()
+        with self._lock:
+            self._pending.clear()
 
     def sweep(self) -> int:
         """Drop expired sids; returns how many were removed.
@@ -81,11 +91,13 @@ class SidStore:
         Issue order is expiry order, so popping from the front until the
         first live sid costs O(expired), not O(outstanding).
         """
-        now = self._clock.now
-        removed = 0
-        while self._pending and now > next(iter(self._pending.values())).expires_at:
-            self._pending.popitem(last=False)
-            removed += 1
+        with self._lock:
+            now = self._clock.now
+            removed = 0
+            while (self._pending
+                   and now > next(iter(self._pending.values())).expires_at):
+                self._pending.popitem(last=False)
+                removed += 1
         return removed
 
     @property

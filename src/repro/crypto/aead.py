@@ -4,15 +4,18 @@ This is the authenticated symmetric layer used inside the hybrid envelope:
 confidentiality from ChaCha20, integrity from Poly1305 over the AAD and
 ciphertext.  AES-CBC (unauthenticated, paper-era) remains available via
 :mod:`repro.crypto.modes` for fidelity comparisons.
+
+A message of up to ``64 * (LANES_MAX_BLOCKS - 1)`` bytes (~14 KiB) seals
+and opens on Python ints and bytes alone; only a larger one takes the
+ChaCha20 row kernel, which loads numpy on its first call (see
+:mod:`repro.crypto.chacha20`).  Poly1305 never needs numpy.
 """
 
 from __future__ import annotations
 
 import struct
 
-import numpy as np
-
-from repro.crypto.chacha20 import keystream
+from repro.crypto.chacha20 import keystream, xor_stream
 from repro.crypto.poly1305 import poly1305_mac
 from repro.errors import InvalidTagError
 from repro.utils.bytesutil import constant_time_eq
@@ -40,13 +43,7 @@ def _otk_and_xor(key: bytes, nonce: bytes, data: bytes) -> tuple[bytes, bytes]:
     """
     n_blocks = (len(data) + 63) // 64
     stream = keystream(key, 0, nonce, n_blocks + 1)
-    otk = stream[:32]
-    if not data:
-        return otk, b""
-    buf = np.frombuffer(data, dtype=np.uint8) ^ np.frombuffer(
-        stream[64:64 + len(data)], dtype=np.uint8
-    )
-    return otk, buf.tobytes()
+    return stream[:32], xor_stream(data, stream, 64)
 
 
 def seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:

@@ -20,8 +20,11 @@ is the reference.  Two batched formulations exist on top of it:
   block function's own rounds (``_rounds``), given ``M`` in place of
   the 32-bit mask, run every block at once: each quarter-round step is
   one C-level bigint operation, 2240 per keystream whatever ``n`` is.
-  The 16 ints go back to block-ordered bytes with one ``to_bytes`` each
-  and a single numpy reshape.
+  The 16 ints go back to block-ordered bytes in pairs: word ``2k+1``
+  shifted into word ``2k``'s guard bits makes one int whose 64-bit lane
+  ``i`` is bytes ``8k .. 8k+7`` of block ``i``; one ``to_bytes`` per
+  pair and 8 strided ``memoryview`` slice assignments (pair ``k`` into
+  every 8th 64-bit slot from ``k``) interleave them.
 * ``_keystream_rows`` — the row formulation: state held as a
   ``(4, 4, n_blocks)`` uint32 array so the four column quarter-rounds of
   each round collapse into **one** vectorized quarter-round over
@@ -33,17 +36,26 @@ is the reference.  Two batched formulations exist on top of it:
   for 65 and ~5 ms for 1025, against a near-flat ~1.2-1.7 ms for rows;
   the crossover lies at about 240 blocks.
 
-``keystream``/``chacha20_xor`` dispatch on the block count.  The test
-suite checks both kernels against the RFC 8439 vectors, against
-``chacha20_block`` and against each other.
+``keystream``/``chacha20_xor`` dispatch on the block count.  Only the
+row kernel needs numpy, and it imports it on first use: every batch up
+to :data:`LANES_MAX_BLOCKS` runs on Python ints and bytes, so a process
+that never seals more than ~14 KiB at once never loads numpy (~14 MiB of
+RSS and 0.1-0.15 s of import).  Likewise :func:`xor_stream` XORs through
+ints up to that size and through numpy above it, where the row kernel
+has loaded it already.  The test suite checks both kernels against the
+RFC 8439 vectors, against ``chacha20_block`` and against each other.
 """
 
 from __future__ import annotations
 
 import struct
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+from repro.utils.bytesutil import xor_bytes
+
+if TYPE_CHECKING:
+    import numpy
 
 _MASK32 = 0xFFFFFFFF
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)  # "expand 32-byte k"
@@ -105,7 +117,8 @@ def _lane_constants(n_blocks: int) -> tuple[int, int, int]:
     """``(REP, IDX, M)`` for ``n_blocks`` 64-bit lanes (see module doc)."""
     rep = int.from_bytes(b"\x01\x00\x00\x00\x00\x00\x00\x00" * n_blocks,
                          "little")
-    idx = int.from_bytes(np.arange(n_blocks, dtype="<u8").tobytes(), "little")
+    idx = int.from_bytes(b"".join(i.to_bytes(8, "little")
+                                  for i in range(n_blocks)), "little")
     return rep, idx, _MASK32 * rep
 
 
@@ -119,18 +132,26 @@ def _keystream_lanes(key: bytes, counter: int, nonce: bytes,
     init[12] = ((counter & _MASK32) * rep + idx) & m
     state = list(init)
     _rounds(state, m)
+    out = [(x + i) & m for x, i in zip(state, init)]
+    # word 2k+1 moves into word 2k's guard bits, so each 64-bit lane of
+    # ``pairs[k]`` holds bytes 8k..8k+7 of its block, in order
     width = 8 * n_blocks
-    out = b"".join(((x + i) & m).to_bytes(width, "little")
-                   for x, i in zip(state, init))
-    # (word, block, lo/guard) -> block-ordered little-endian words
-    lanes = np.frombuffer(out, dtype="<u4").reshape(16, n_blocks, 2)
-    return lanes[:, :, 0].T.tobytes()
+    pairs = memoryview(b"".join((out[k] | (out[k + 1] << 32)).to_bytes(
+        width, "little") for k in range(0, 16, 2))).cast("Q")
+    # (pair, block) -> (block, pair); the copy moves whole 64-bit units,
+    # so the host's byte order is moot
+    stream = bytearray(64 * n_blocks)
+    units = memoryview(stream).cast("Q")
+    for k in range(8):
+        units[k::8] = pairs[k * n_blocks:(k + 1) * n_blocks]
+    return bytes(stream)
 
 
-def _qr_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
-             t: np.ndarray) -> None:
+def _qr_rows(np, a: numpy.ndarray, b: numpy.ndarray, c: numpy.ndarray,
+             d: numpy.ndarray, t: numpy.ndarray) -> None:
     """One quarter round over four (4, n_blocks) rows at once, in place.
 
+    ``np`` is the numpy module (imported by :func:`_keystream_rows`);
     ``t`` is caller-provided scratch of the same shape; the rotations are
     expressed with ``out=`` so the round allocates nothing.
     """
@@ -161,8 +182,11 @@ def _keystream_rows(key: bytes, counter: int, nonce: bytes, n_blocks: int) -> by
 
     Rows are the four words each quarter-round touches; a column round is
     a single vectorized quarter-round, a diagonal round rolls rows 1-3
-    into column position and back.
+    into column position and back.  numpy is imported here, on the first
+    batch above :data:`LANES_MAX_BLOCKS`, and nowhere earlier.
     """
+    import numpy as np
+
     init = np.empty((4, 4, n_blocks), dtype=np.uint32)
     init[0] = np.array(_CONSTANTS, dtype=np.uint32)[:, None]
     init[1:3] = np.frombuffer(key, dtype="<u4").reshape(2, 4, 1)
@@ -174,11 +198,11 @@ def _keystream_rows(key: bytes, counter: int, nonce: bytes, n_blocks: int) -> by
     r0, r1, r2, r3 = x[0], x[1], x[2], x[3]
     with np.errstate(over="ignore"):
         for _ in range(10):
-            _qr_rows(r0, r1, r2, r3, t)
+            _qr_rows(np, r0, r1, r2, r3, t)
             x[1] = np.roll(r1, -1, axis=0)
             x[2] = np.roll(r2, -2, axis=0)
             x[3] = np.roll(r3, -3, axis=0)
-            _qr_rows(r0, r1, r2, r3, t)
+            _qr_rows(np, r0, r1, r2, r3, t)
             x[1] = np.roll(r1, 1, axis=0)
             x[2] = np.roll(r2, 2, axis=0)
             x[3] = np.roll(r3, 3, axis=0)
@@ -200,14 +224,28 @@ def keystream(key: bytes, counter: int, nonce: bytes, n_blocks: int) -> bytes:
     return _keystream_lanes(key, counter, nonce, n_blocks)
 
 
+def xor_stream(data: bytes, stream: bytes, offset: int = 0) -> bytes:
+    """``data`` XOR ``stream[offset:offset + len(data)]``.
+
+    Through Python ints up to a lane-kernel batch; above it, through
+    numpy, which the row kernel that made ``stream`` has already loaded
+    (on the 2-vCPU Xeon above, ints take ~70 us at 16 KiB and ~190 us at
+    64 KiB, numpy ~5-10 us).
+    """
+    n = len(data)
+    if n > 64 * LANES_MAX_BLOCKS:
+        import numpy as np
+
+        return (np.frombuffer(data, dtype=np.uint8)
+                ^ np.frombuffer(stream, dtype=np.uint8, count=n,
+                                offset=offset)).tobytes()
+    return xor_bytes(data, stream[offset:offset + n])
+
+
 def chacha20_xor(key: bytes, nonce: bytes, data: bytes,
                  counter: int = 1) -> bytes:
     """Encrypt/decrypt ``data`` (XOR with keystream starting at ``counter``)."""
     if not data:
         return b""
     n_blocks = (len(data) + 63) // 64
-    stream = keystream(key, counter, nonce, n_blocks)
-    buf = np.frombuffer(data, dtype=np.uint8) ^ np.frombuffer(
-        stream[: len(data)], dtype=np.uint8
-    )
-    return buf.tobytes()
+    return xor_stream(data, keystream(key, counter, nonce, n_blocks))

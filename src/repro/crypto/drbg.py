@@ -10,6 +10,7 @@ the tests and the simulated benchmarks rely on.
 from __future__ import annotations
 
 import os
+import threading
 
 from repro.crypto.hmac import hmac_sha256
 
@@ -19,6 +20,11 @@ class HmacDrbg:
 
     Reseeding and additional-input paths are implemented; prediction
     resistance is out of scope for a simulation substrate.
+
+    ``generate`` and ``reseed`` hold a lock: on sockets one node's DRBG is
+    shared by the transport's handler threads, and two unlocked draws
+    that read the same ``V`` return the same bytes (a shared sid, nonce
+    or envelope key).
     """
 
     #: SP 800-90A limit on a single generate call (we are far more generous
@@ -31,6 +37,7 @@ class HmacDrbg:
         self._key = b"\x00" * 32
         self._value = b"\x01" * 32
         self._reseed_counter = 1
+        self._lock = threading.Lock()
         self._update(seed + personalization)
 
     def _update(self, provided: bytes = b"") -> None:
@@ -42,23 +49,30 @@ class HmacDrbg:
 
     def reseed(self, entropy: bytes) -> None:
         """Mix fresh entropy into the generator state."""
-        self._update(entropy)
-        self._reseed_counter = 1
+        with self._lock:
+            self._update(entropy)
+            self._reseed_counter = 1
 
     def generate(self, n: int, additional: bytes = b"") -> bytes:
         """Return ``n`` pseudo-random bytes."""
         if n < 0:
             raise ValueError("cannot generate a negative number of bytes")
-        if n > self.MAX_BYTES_PER_REQUEST:
+        with self._lock:
+            if n <= self.MAX_BYTES_PER_REQUEST:
+                return self._generate(n, additional)
             # Split internally; keeps the external API convenient.
             out = bytearray()
             remaining = n
             while remaining:
                 chunk = min(remaining, self.MAX_BYTES_PER_REQUEST)
-                out += self.generate(chunk, additional)
+                out += self._generate(chunk, additional)
                 additional = b""
                 remaining -= chunk
             return bytes(out)
+
+    def _generate(self, n: int, additional: bytes) -> bytes:
+        """One SP 800-90A generate call of at most the request cap; the
+        caller holds the lock."""
         if additional:
             self._update(additional)
         out = bytearray()

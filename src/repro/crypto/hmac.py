@@ -7,7 +7,7 @@ Two paths, both tested against :mod:`hmac`/:mod:`hashlib`:
 
 * :class:`HMAC` — streaming, built on the pure-Python :class:`SHA256`;
 * :func:`hmac_sha256` — one-shot, expressed as two one-shot hashes so it
-  rides whatever backend :func:`repro.crypto.sha2.sha256` selects (this
+  rides :func:`repro.crypto.sha2.sha256`, which is :mod:`hashlib` (this
   is the hot path: the DRBG calls it for every random draw).
 """
 

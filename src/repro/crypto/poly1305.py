@@ -9,11 +9,12 @@ The kernel evaluates it as ``k ≈ √q`` interleaved Horner lanes held in
 **one** Python int, so the per-chunk Python loop becomes ``≈ √q`` steps
 of C-level bigint arithmetic:
 
-* Lane ``j`` occupies bits ``272j .. 272j+271`` (34 bytes, so numpy can
-  pack chunks straight into place).  Zero chunks are prepended until
-  ``k`` divides the chunk count; they add nothing to the polynomial.
-  Step ``t`` packs chunks ``tk .. tk+k-1`` into ``C_t`` in one
-  ``int.from_bytes``.
+* Lane ``j`` occupies bits ``272j .. 272j+271`` (34 bytes, so chunks
+  pack straight into place: 16 strided ``bytearray`` slice assignments
+  lay byte ``b`` of every chunk at offset ``b`` of its lane, a 17th
+  sets the pad bytes).  Zero chunks are prepended until ``k`` divides
+  the chunk count; they add nothing to the polynomial.  Step ``t``
+  packs chunks ``tk .. tk+k-1`` into ``C_t`` in one ``int.from_bytes``.
 * Each step is ``A = A·r^k``, then twice the lane-wise partial reduction
   ``(A & M130) + ((A >> 130) & MH)·5`` (``M130`` keeps each lane's low
   130 bits, ``MH`` the 142 bits above them, so the shift's spill from
@@ -37,8 +38,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import isqrt
-
-import numpy as np
 
 _P = (1 << 130) - 5
 _CLAMP = 0x0FFFFFFC0FFFFFFC0FFFFFFC0FFFFFFF
@@ -69,14 +68,15 @@ def _poly_lanes(r: int, message: bytes) -> int:
     lead = steps * k - q  # zero chunks in front
     full = length // 16
     rest = length - 16 * full
-    chunks = np.zeros((steps * k, _LANE_BYTES), dtype=np.uint8)
-    body = np.frombuffer(message, dtype=np.uint8)
-    chunks[lead:lead + full, :16] = body[:16 * full].reshape(full, 16)
-    chunks[lead:lead + full, 16] = 1
+    packed = bytearray(steps * k * _LANE_BYTES)
+    start = lead * _LANE_BYTES
+    stop = start + full * _LANE_BYTES
+    for b in range(16):
+        packed[start + b:stop:_LANE_BYTES] = message[b:16 * full:16]
+    packed[start + 16:stop:_LANE_BYTES] = b"\x01" * full
     if rest:
-        chunks[lead + full, :rest] = body[16 * full:]
-        chunks[lead + full, rest] = 1
-    packed = chunks.tobytes()
+        packed[stop:stop + rest] = message[16 * full:]
+        packed[stop + rest] = 1
     low, high = _lane_masks(k)
     rk = pow(r, k, _P)
     width = k * _LANE_BYTES

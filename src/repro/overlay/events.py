@@ -69,8 +69,19 @@ class EventBus:
         self._listeners[event].remove(listener)
 
     def emit(self, event: str, **payload: Any) -> None:
+        """Deliver ``payload`` to the listeners and remember its metadata.
+
+        History keeps a message's ``text`` as ``text_len`` only, so
+        :data:`HISTORY_MAX` large messages cost their metadata, not their
+        bodies; listeners get the text.
+        """
         self._check(event)
-        self.history.append((event, payload))
+        if "text" in payload:
+            meta = dict(payload)
+            meta["text_len"] = len(meta.pop("text"))
+            self.history.append((event, meta))
+        else:
+            self.history.append((event, payload))
         for listener in list(self._listeners[event]):
             listener(**payload)
 

@@ -9,6 +9,10 @@ and OAEP explicitly.
 
 from __future__ import annotations
 
+import os
+import sys
+import threading
+import weakref
 from functools import lru_cache
 
 import pytest
@@ -31,6 +35,57 @@ TEST_POLICY = SecurityPolicy(
 @lru_cache(maxsize=None)
 def cached_keypair(bits: int, label: str) -> KeyPair:
     return generate_keypair(bits, drbg=HmacDrbg(f"test-key|{bits}|{label}".encode()))
+
+
+#: each recorded client's received texts, keyed by its event bus
+_INBOXES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def record_texts(client) -> None:
+    """Keep the text of every secure message ``client`` receives from now
+    on; its event history keeps only each text's length."""
+    texts = _INBOXES.setdefault(client.events, [])
+    client.events.subscribe("secure_message_received",
+                            lambda **kw: texts.append(kw["text"]))
+
+
+def received_texts(client) -> list[str]:
+    """The texts ``client`` received since :func:`record_texts`, in order."""
+    return list(_INBOXES[client.events])
+
+
+def run_concurrently(worker, n_threads: int | None = None,
+                     timeout: float = 60.0) -> list[BaseException]:
+    """Run ``worker(i)`` on more threads than cores at once; return errors.
+
+    The interpreter switches threads every microsecond meanwhile (restored
+    afterwards), so an unlocked read-modify-write interleaves within a
+    few thousand calls.  Every thread must finish within ``timeout``.
+    """
+    n_threads = n_threads or max(8, 2 * (os.cpu_count() or 1))
+    errors: list[BaseException] = []
+    start = threading.Barrier(n_threads)
+
+    def run(i: int) -> None:
+        try:
+            start.wait()
+            worker(i)
+        except BaseException as exc:  # reported to the test, not lost
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(i,), daemon=True)
+               for i in range(n_threads)]
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout)
+    finally:
+        sys.setswitchinterval(saved)
+    assert not any(t.is_alive() for t in threads), "a worker did not finish"
+    return errors
 
 
 @pytest.fixture(scope="session")
@@ -131,10 +186,12 @@ class SecureWorld:
         self.carol = self._client("carol", b"ca")
 
     def _client(self, name: str, tag: bytes) -> SecureClientPeer:
-        return SecureClientPeer(
+        client = SecureClientPeer(
             self.net, f"peer:{name}", self.root.fork(tag),
             self.admin.credential, name=f"{name}-app", policy=self.POLICY,
             keystore=Keystore(cached_keypair(512, f"client-{name}")))
+        record_texts(client)
+        return client
 
     def join_all(self) -> None:
         for client, user, pw in ((self.alice, "alice", "pw-a"),

@@ -18,7 +18,8 @@ from repro import obs
 from repro.core import SecureBroker, SecureClientPeer
 from repro.core.keystore import Keystore
 from repro.errors import PrimitiveError
-from tests.conftest import CAST_POLICY, CastWorld, SecureWorld, cached_keypair
+from tests.conftest import (CAST_POLICY, CastWorld, SecureWorld, cached_keypair,
+                            received_texts, record_texts)
 
 GROUP = "game"
 
@@ -31,11 +32,6 @@ def fresh_registry():
         yield registry
     finally:
         obs.set_registry(saved)
-
-
-def _texts(client):
-    return [e["text"] for e in client.events.events_named(
-        "secure_message_received")]
 
 
 def _shard_epoch(broker, group=GROUP):
@@ -57,6 +53,7 @@ def _erin(world, broker_address="broker:1"):
         world.net, "peer:erin", world.root.fork(b"erin"),
         world.admin.credential, name="erin-app", policy=CAST_POLICY,
         keystore=Keystore(cached_keypair(512, "client-erin")))
+    record_texts(erin)
     erin.secure_connect(broker_address)
     erin.secure_login("erin", "pw-e")
     return erin
@@ -69,7 +66,7 @@ def _run_conversation(world):
     world.alice.secure_msg_peer_group(GROUP, "first move")
     world.bob.secure_msg_peer_group(GROUP, "counter move")
     world.alice.secure_msg_peer_group(GROUP, "third move")
-    return {name: sorted(_texts(getattr(world, name)))
+    return {name: sorted(received_texts(getattr(world, name)))
             for name in ("alice", "bob", "carol")}
 
 
@@ -137,7 +134,7 @@ class TestEpochRotation:
         world.bob.secure_join_group(GROUP)  # rotates; alice doesn't know
         assert world.alice.secure_msg_peer_group(GROUP, "hello bob") == 1
         assert world.alice.metrics.count("client.group_cast_stale_retry") == 1
-        assert "hello bob" in _texts(world.bob)
+        assert "hello bob" in received_texts(world.bob)
 
     def test_leaver_cannot_read_later_frames(self, cast_world):
         world = cast_world
@@ -149,8 +146,8 @@ class TestEpochRotation:
         carol_ring = world.carol.group_keys.get(GROUP)
         assert carol_ring is None  # client drops its key material on leave
         world.alice.secure_msg_peer_group(GROUP, "after carol left")
-        assert "after carol left" in _texts(world.bob)
-        assert "after carol left" not in _texts(world.carol)
+        assert "after carol left" in received_texts(world.bob)
+        assert "after carol left" not in received_texts(world.carol)
         # and the broker refuses her as a sender now
         with pytest.raises(PrimitiveError):
             world.carol.secure_msg_peer_group(GROUP, "let me back in")
@@ -162,7 +159,7 @@ class TestStoreAndForward:
         world.alice.secure_create_group(GROUP)
         world.bob.secure_join_group(GROUP)
         world.alice.secure_msg_peer_group(GROUP, "seen live")
-        assert "seen live" in _texts(world.bob)
+        assert "seen live" in received_texts(world.bob)
         world.bob.logout()
         world.alice.secure_msg_peer_group(GROUP, "missed one")
         world.alice.secure_msg_peer_group(GROUP, "missed two")
@@ -170,7 +167,7 @@ class TestStoreAndForward:
         world.bob.secure_login("bob", "pw-b")
         replayed = world.bob.group_subscribe(GROUP)
         assert replayed == 2
-        texts = _texts(world.bob)
+        texts = received_texts(world.bob)
         assert "missed one" in texts and "missed two" in texts
 
     def test_store_during_replay_replays_the_snapshot(self, cast_world):
@@ -201,7 +198,7 @@ class TestStoreAndForward:
         finally:
             del endpoint.send
         assert len(shard.backlog) == 3
-        texts = _texts(world.bob)
+        texts = received_texts(world.bob)
         assert "missed one" in texts and "missed two" in texts
 
     def test_high_water_prevents_duplicate_replay(self, cast_world):
@@ -211,7 +208,7 @@ class TestStoreAndForward:
         world.alice.secure_msg_peer_group(GROUP, "once only")
         # re-subscribing with everything already seen replays nothing
         assert world.bob.group_subscribe(GROUP) == 0
-        assert _texts(world.bob).count("once only") == 1
+        assert received_texts(world.bob).count("once only") == 1
 
     def test_late_joiner_gets_no_history(self, cast_world):
         world = cast_world
@@ -222,7 +219,7 @@ class TestStoreAndForward:
         # her entitlement floor is the join epoch: the stored frame is
         # from an older epoch and must not be replayed to her
         assert world.carol.group_subscribe(GROUP) == 0
-        assert "before carol" not in _texts(world.carol)
+        assert "before carol" not in received_texts(world.carol)
 
 
 class TestFederatedRelay:
@@ -236,7 +233,7 @@ class TestFederatedRelay:
             world.alice.secure_msg_peer_group(GROUP, "cross the ring")
             assert registry.count("groupcast.relayed") == 1
             assert registry.count("groupcast.relay.received") == 1
-        assert "cross the ring" in _texts(erin)
+        assert "cross the ring" in received_texts(erin)
 
     def test_remote_sender_reaches_home_members(self, cast_world):
         world = cast_world
@@ -246,5 +243,5 @@ class TestFederatedRelay:
         world.bob.secure_join_group(GROUP)
         erin.secure_join_group(GROUP)
         erin.secure_msg_peer_group(GROUP, "from the far side")
-        assert "from the far side" in _texts(world.alice)
-        assert "from the far side" in _texts(world.bob)
+        assert "from the far side" in received_texts(world.alice)
+        assert "from the far side" in received_texts(world.bob)

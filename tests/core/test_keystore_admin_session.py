@@ -1,5 +1,7 @@
 """Keystores, the administrator, and the sid store."""
 
+import itertools
+
 import pytest
 
 from repro.core import Administrator
@@ -9,7 +11,7 @@ from repro.crypto.drbg import HmacDrbg
 from repro.errors import CredentialError, ReplayError
 from repro.jxta.ids import cbid_from_key
 from repro.sim import VirtualClock
-from tests.conftest import cached_keypair
+from tests.conftest import cached_keypair, run_concurrently
 
 
 @pytest.fixture()
@@ -121,3 +123,32 @@ class TestSidStore:
         assert sids.sweep() == 2
         assert sids.outstanding == 1
         sids.consume(fresh)
+
+    def test_concurrent_connects_sweep_and_issue_safely(self):
+        """``fn_secure_connect`` runs ``sweep()`` then ``issue()`` on
+        whichever handler thread took the request.  Sids here expire at
+        birth, so every sweep has entries to pop while others insert; a
+        counter stands in for the DRBG so the store's own steps dominate."""
+
+        class CountingDrbg:
+            def __init__(self):
+                self._next = itertools.count()
+
+            def generate(self, n):
+                return next(self._next).to_bytes(n, "big")
+
+        sids = SidStore(VirtualClock(), CountingDrbg(), lifetime=-1.0)
+        calls = 3000
+        issued: list[str] = []
+
+        def worker(_i):
+            for _ in range(calls):
+                sids.sweep()
+                issued.append(sids.issue("peer:x"))
+
+        n_threads = 16
+        assert run_concurrently(worker, n_threads) == []
+        assert sids.issued_total == calls * n_threads
+        assert len(set(issued)) == len(issued) == calls * n_threads
+        sids.sweep()
+        assert sids.outstanding == 0

@@ -10,7 +10,7 @@ policy choice.
 import pytest
 
 from repro import obs
-from tests.conftest import SecureWorld, TEST_POLICY
+from tests.conftest import SecureWorld, TEST_POLICY, received_texts
 
 BASELINE_POLICY = TEST_POLICY.with_(enable_seal_many=False,
                                     enable_resumption=False)
@@ -34,11 +34,6 @@ def _rsa_ops(registry):
             registry.count("crypto.rsa.verify_op"))
 
 
-def _received_texts(client):
-    return [e["text"] for e in client.events.events_named(
-        "secure_message_received")]
-
-
 class TestResumedChat:
     def test_steady_state_sends_cost_zero_rsa(self, joined_secure_world,
                                               registry):
@@ -49,7 +44,7 @@ class TestResumedChat:
             assert w.alice.secure_msg_peer(str(w.bob.peer_id), "students",
                                            f"steady {i}")
         assert _rsa_ops(registry) == before
-        assert _received_texts(w.bob) == ["first"] + [f"steady {i}"
+        assert received_texts(w.bob) == ["first"] + [f"steady {i}"
                                                       for i in range(5)]
 
     def test_resumed_messages_attribute_to_sender(self, joined_secure_world):
@@ -70,11 +65,11 @@ class TestResumedChat:
         w.bob.resume_store.invalidate()        # simulated receiver restart
         assert w.alice.secure_msg_peer(str(w.bob.peer_id), "students",
                                        "after restart")
-        assert _received_texts(w.bob) == ["establish", "after restart"]
+        assert received_texts(w.bob) == ["establish", "after restart"]
         assert w.alice.metrics.count("client.resume_fallback") == 1
         # and the re-keyed session carries the next message with 0 RSA
         w.alice.secure_msg_peer(str(w.bob.peer_id), "students", "resumed again")
-        assert _received_texts(w.bob)[-1] == "resumed again"
+        assert received_texts(w.bob)[-1] == "resumed again"
 
     def test_forged_reset_only_downgrades(self, joined_secure_world):
         """A reset for a sid we never minted is ignored; a forged reset
@@ -89,7 +84,7 @@ class TestResumedChat:
         w.alice._fn_resume_reset(bogus, "peer:mallory")
         assert len(w.alice.resume_sessions) == 1  # unknown sid ignored
         assert w.alice.secure_msg_peer(str(w.bob.peer_id), "students", "still ok")
-        assert _received_texts(w.bob)[-1] == "still ok"
+        assert received_texts(w.bob)[-1] == "still ok"
 
 
 class TestGroupFanOut:
@@ -101,7 +96,7 @@ class TestGroupFanOut:
         # 1 sign + 1 unwrap (bob) — not one sign per member
         private, public, _ = _rsa_ops(registry)
         assert private == 2 and public == 1
-        assert _received_texts(w.bob) == ["to everyone"]
+        assert received_texts(w.bob) == ["to everyone"]
 
     def test_second_group_send_is_fully_resumed(self, joined_secure_world,
                                                 registry):
@@ -110,7 +105,7 @@ class TestGroupFanOut:
         before = _rsa_ops(registry)
         w.alice.secure_msg_peer_group("students", "two")
         assert _rsa_ops(registry) == before
-        assert _received_texts(w.bob) == ["one", "two"]
+        assert received_texts(w.bob) == ["one", "two"]
 
 
 class TestMixedPolicyInterop:
@@ -120,7 +115,7 @@ class TestMixedPolicyInterop:
         for i in range(3):
             assert w.alice.secure_msg_peer(str(w.bob.peer_id), "students",
                                            f"m{i}")
-        assert _received_texts(w.bob) == ["m0", "m1", "m2"]
+        assert received_texts(w.bob) == ["m0", "m1", "m2"]
 
     def test_baseline_sender_fast_receiver(self, joined_secure_world,
                                            registry):
@@ -129,7 +124,7 @@ class TestMixedPolicyInterop:
         for i in range(3):
             assert w.alice.secure_msg_peer(str(w.bob.peer_id), "students",
                                            f"m{i}")
-        assert _received_texts(w.bob) == ["m0", "m1", "m2"]
+        assert received_texts(w.bob) == ["m0", "m1", "m2"]
         assert registry.count("crypto.resume.seal") == 0  # nothing resumed
 
     def test_baseline_world_end_to_end(self):
@@ -145,7 +140,7 @@ class TestMixedPolicyInterop:
                                                f"m{i}")
         finally:
             obs.set_registry(saved)
-        assert _received_texts(w.bob) == ["m0", "m1", "m2"]
+        assert received_texts(w.bob) == ["m0", "m1", "m2"]
         assert registry.count("crypto.envelope.seal") == 3
         assert registry.count("crypto.envelope.seal_many") == 0
         assert registry.count("crypto.resume.seal") == 0
@@ -343,7 +338,7 @@ class TestSendFailureSessionHygiene:
             w.alice._send_sealed_frame = real_send
         # delivery restored: the next fan-out re-keys cleanly, no reset trip
         assert w.alice.secure_msg_peer_group("students", "ok") == 1
-        assert _received_texts(w.bob) == ["ok"]
+        assert received_texts(w.bob) == ["ok"]
         assert w.alice.metrics.count("client.resume_fallback") == 0
 
     def test_single_peer_failed_establish_gets_no_session(
@@ -358,7 +353,7 @@ class TestSendFailureSessionHygiene:
         finally:
             w.alice._send_sealed_frame = real_send
         assert w.alice.secure_msg_peer(str(w.bob.peer_id), "students", "ok")
-        assert _received_texts(w.bob) == ["ok"]
+        assert received_texts(w.bob) == ["ok"]
 
 
 class TestTrustCacheFlush:
@@ -375,4 +370,4 @@ class TestTrustCacheFlush:
         # messaging recovers by re-keying transparently
         assert w.alice.secure_msg_peer(str(w.bob.peer_id), "students",
                                        "re-keyed")
-        assert _received_texts(w.bob)[-1] == "re-keyed"
+        assert received_texts(w.bob)[-1] == "re-keyed"

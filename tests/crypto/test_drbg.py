@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.crypto.drbg import HmacDrbg, system_drbg
+from tests.conftest import run_concurrently
 
 
 class TestDeterminism:
@@ -101,6 +102,24 @@ class TestFork:
         a = root.fork(b"a")
         b = root.fork(b"b")
         assert a.generate(32) != b.generate(32)
+
+
+class TestConcurrency:
+    def test_threads_sharing_a_drbg_never_draw_the_same_bytes(self):
+        """A node's DRBG is shared by the socket transport's handler
+        threads; an unlocked generate hands two of them the same output."""
+        rng = HmacDrbg(b"shared")
+        draws = 2000
+        outputs: list[list[bytes]] = []
+
+        def worker(_i):
+            mine = [rng.generate(16) for _ in range(draws)]
+            outputs.append(mine)
+
+        assert run_concurrently(worker) == []
+        flat = [out for mine in outputs for out in mine]
+        assert len(flat) == draws * len(outputs)
+        assert len(set(flat)) == len(flat)
 
 
 def test_system_drbg_differs_each_time():

@@ -1,5 +1,7 @@
 """Event bus and the primitive catalogue."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import OverlayError
@@ -52,6 +54,30 @@ class TestEventBus:
         assert bus.history[0] == ("message_received", {"seq": 1})
         assert bus.history[-1] == ("message_received", {"seq": HISTORY_MAX})
         assert len(bus.events_named("message_received")) == HISTORY_MAX
+
+    def test_history_keeps_text_length_not_text(self):
+        bus = EventBus()
+        got = []
+        bus.subscribe("secure_message_received", lambda **kw: got.append(kw))
+        bus.emit("secure_message_received", from_user="alice", text="hello")
+        assert got == [{"from_user": "alice", "text": "hello"}]
+        assert bus.events_named("secure_message_received") == [
+            {"from_user": "alice", "text_len": 5}]
+
+    def test_history_of_large_messages_stays_small(self):
+        """A full history of 64 KiB messages holds metadata, not bodies."""
+        bus = EventBus()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(HISTORY_MAX):
+                bus.emit("message_received", from_peer="p", seq=i,
+                         text=chr(97 + i % 26) * 65536)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(bus.history) == HISTORY_MAX
+        assert held < 1 << 20
 
     def test_multiple_listeners_all_called(self):
         bus = EventBus()

@@ -15,7 +15,8 @@ from repro.core import SecureBroker, SecureClientPeer
 from repro.core.keystore import Keystore
 from repro.jxta.messages import Message
 from repro.overlay.policy import LinkPolicy
-from tests.conftest import CAST_POLICY, CastWorld, cached_keypair
+from tests.conftest import (CAST_POLICY, CastWorld, cached_keypair, received_texts,
+                            record_texts)
 
 LINK_POLICY = LinkPolicy(compress_level=6, min_compress_bytes=64)
 
@@ -36,14 +37,10 @@ def _erin(world, broker_address):
         world.net, "peer:erin", world.root.fork(b"erin"),
         world.admin.credential, name="erin-app", policy=CAST_POLICY,
         keystore=Keystore(cached_keypair(512, "client-erin")))
+    record_texts(erin)
     erin.secure_connect(broker_address)
     erin.secure_login("erin", "pw-e")
     return erin
-
-
-def _texts(client):
-    return [e["text"] for e in client.events.events_named(
-        "secure_message_received")]
 
 
 class TestMixedFederationDowngrade:
@@ -93,10 +90,10 @@ class TestMixedFederationDowngrade:
         # alice's cast; erin has no local co-members, her count is 0)
         assert world.alice.secure_msg_peer_group("relay", "over the wire") == 1
         assert erin.secure_msg_peer_group("relay", "and back") == 0
-        assert "over the wire" in _texts(erin)
-        assert "over the wire" in _texts(world.bob)
-        assert "and back" in _texts(world.alice)
-        assert "and back" in _texts(world.bob)
+        assert "over the wire" in received_texts(erin)
+        assert "over the wire" in received_texts(world.bob)
+        assert "and back" in received_texts(world.alice)
+        assert "and back" in received_texts(world.bob)
         # the downgrade never re-ran the exchange to something lossy:
         # the legacy broker processed the relays without a scheduler
         assert legacy.link_policy is None
