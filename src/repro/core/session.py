@@ -9,7 +9,9 @@ secureConnection and *consumes it exactly once* during secureLogin:
 
 Replaying a captured login blob therefore fails — the sid inside it is
 gone.  Sids also expire, and the broker sweeps the expired ones before
-each issue, so the store cannot grow without bound.
+each issue.  A flood of connects inside one lifetime is bounded by count:
+past :data:`MAX_OUTSTANDING_SIDS` each issue evicts the oldest sid, which
+then fails its login like an expired one.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from repro.sim.clock import VirtualClock
 
 SID_BYTES = 32
 DEFAULT_SID_LIFETIME = 300.0  # virtual seconds to complete a login
+#: outstanding sids a store holds before each issue evicts the oldest
+MAX_OUTSTANDING_SIDS = 1024
 
 
 @dataclass
@@ -53,7 +57,11 @@ class SidStore:
         self.replays_blocked = 0
 
     def issue(self, client_address: str) -> str:
-        """Mint a fresh sid for a connecting client."""
+        """Mint a fresh sid for a connecting client.
+
+        At :data:`MAX_OUTSTANDING_SIDS` the oldest outstanding sid is
+        evicted; :meth:`consume` then rejects it as unknown.
+        """
         sid = self._drbg.generate(SID_BYTES).hex()
         with self._lock:
             now = self._clock.now
@@ -61,6 +69,8 @@ class SidStore:
                 sid=sid, issued_at=now, expires_at=now + self.lifetime,
                 client_address=client_address)
             self.issued_total += 1
+            if len(self._pending) > MAX_OUTSTANDING_SIDS:
+                self._pending.popitem(last=False)
         return sid
 
     def consume(self, sid: str) -> None:

@@ -35,7 +35,7 @@ def private_key_to_dict(priv: PrivateKey) -> dict:
     return {
         "kty": "RSA-private",
         "n": hex(priv.n), "e": hex(priv.e), "d": hex(priv.d),
-        "p": hex(priv.p), "q": hex(priv.q),
+        "primes": [hex(r) for r in priv.primes],
     }
 
 
@@ -46,7 +46,7 @@ def private_key_from_dict(obj: dict) -> PrivateKey:
             raise KeyError("kty")
         return PrivateKey(
             n=int(obj["n"], 16), e=int(obj["e"], 16), d=int(obj["d"], 16),
-            p=int(obj["p"], 16), q=int(obj["q"], 16),
+            primes=tuple(int(r, 16) for r in obj["primes"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidKeyError(f"malformed private key encoding: {exc!r}") from exc

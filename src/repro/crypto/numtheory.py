@@ -6,7 +6,7 @@ which keeps RSA key generation reproducible in tests and benchmarks.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 # Small primes used for cheap trial division before Miller-Rabin.
 _SMALL_PRIMES: tuple[int, ...] = (
@@ -93,17 +93,42 @@ def generate_prime(bits: int, rand_bits: Callable[[int], int],
             return candidate
 
 
-def crt_combine(mp: int, mq: int, p: int, q: int, q_inv: int) -> int:
+def crt_coefficients(moduli: Sequence[int]) -> tuple[int, ...]:
+    """Garner coefficients for pairwise coprime ``moduli``.
+
+    Entry ``i`` is ``(moduli[0] * ... * moduli[i])^-1 mod moduli[i + 1]``;
+    raises ``ValueError`` when two moduli share a factor.
+    """
+    coefficients = []
+    product = moduli[0]
+    for modulus in moduli[1:]:
+        coefficients.append(modinv(product, modulus))
+        product *= modulus
+    return tuple(coefficients)
+
+
+def crt_combine(residues: Sequence[int], moduli: Sequence[int],
+                coefficients: Sequence[int]) -> int:
     """Garner's CRT recombination used by the RSA private operation.
 
-    Given ``mp = m mod p`` and ``mq = m mod q``, recovers ``m mod p*q``.
+    Given ``residues[i] = m mod moduli[i]`` and the
+    :func:`crt_coefficients` of ``moduli``, recovers ``m`` modulo the
+    product of the moduli (RFC 8017 section 5.1.2, step 2.b).
     """
-    h = (q_inv * (mp - mq)) % p
-    return mq + h * q
+    m = residues[0]
+    product = moduli[0]
+    for residue, modulus, coefficient in zip(residues[1:], moduli[1:],
+                                             coefficients):
+        m += product * ((residue - m) * coefficient % modulus)
+        product *= modulus
+    return m
 
 
-def lcm(a: int, b: int) -> int:
+def lcm(*values: int) -> int:
     """Least common multiple (used for the Carmichael function of n)."""
     from math import gcd
 
-    return a // gcd(a, b) * b
+    result = 1
+    for value in values:
+        result = result // gcd(result, value) * value
+    return result

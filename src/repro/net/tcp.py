@@ -298,6 +298,12 @@ class TcpTransport:
                     break  # unframeable stream: drop the connection
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break
+                if self._endpoints.get(address) is not state:
+                    # Accepted as the endpoint unregistered, and missed by
+                    # its teardown: closing makes the sender's next send
+                    # fail instead of succeeding into the void.
+                    obs.get_registry().incr("net.tcp.frames_dropped")
+                    break
                 if peer_src is None:
                     peer_src = src
                     if state.on_connect is not None:

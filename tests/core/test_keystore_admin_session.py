@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import Administrator
 from repro.core.keystore import Keystore
-from repro.core.session import SidStore
+from repro.core.session import DEFAULT_SID_LIFETIME, MAX_OUTSTANDING_SIDS, SidStore
 from repro.crypto.drbg import HmacDrbg
 from repro.errors import CredentialError, ReplayError
 from repro.jxta.ids import cbid_from_key
@@ -123,6 +123,25 @@ class TestSidStore:
         assert sids.sweep() == 2
         assert sids.outstanding == 1
         sids.consume(fresh)
+
+    def test_count_cap_evicts_the_oldest(self):
+        """A connect flood inside one lifetime: nothing expires, so only
+        the count cap bounds the store, and an evicted sid fails exactly
+        like an expired one."""
+        clock = VirtualClock()
+        sids = SidStore(clock, HmacDrbg(b"sid-flood"))
+        issued = [sids.issue("peer:flood") for _ in range(MAX_OUTSTANDING_SIDS + 2)]
+        clock.advance(DEFAULT_SID_LIFETIME / 2)
+        assert sids.sweep() == 0
+        assert sids.outstanding == MAX_OUTSTANDING_SIDS
+        assert sids.issued_total == MAX_OUTSTANDING_SIDS + 2
+        for evicted in issued[:2]:
+            with pytest.raises(ReplayError):
+                sids.consume(evicted)
+        assert sids.replays_blocked == 2
+        sids.consume(issued[2])
+        sids.consume(issued[-1])
+        assert sids.outstanding == MAX_OUTSTANDING_SIDS - 2
 
     def test_concurrent_connects_sweep_and_issue_safely(self):
         """``fn_secure_connect`` runs ``sweep()`` then ``issue()`` on

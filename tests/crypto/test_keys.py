@@ -26,12 +26,21 @@ class TestPublicKeyText:
 
 
 class TestPrivateKeyDict:
-    def test_roundtrip_recomputes_crt(self, kp512):
-        data = keymod.private_key_to_dict(kp512.private)
-        restored = keymod.private_key_from_dict(data)
-        assert restored == kp512.private
-        assert restored.dp == kp512.private.dp
-        assert restored.q_inv == kp512.private.q_inv
+    def test_roundtrip_recomputes_crt(self, kp512, kp1024):
+        for priv in (kp512.private, kp1024.private):  # 2 and 3 primes
+            data = keymod.private_key_to_dict(priv)
+            assert len(data["primes"]) == len(priv.primes)
+            restored = keymod.private_key_from_dict(data)
+            assert restored == priv
+            assert restored.primes == priv.primes
+            assert restored.exponents == priv.exponents
+            assert restored.coefficients == priv.coefficients
+
+    def test_primes_not_matching_modulus_rejected(self, kp1024):
+        data = keymod.private_key_to_dict(kp1024.private)
+        data["primes"] = data["primes"][:2]
+        with pytest.raises(InvalidKeyError):
+            keymod.private_key_from_dict(data)
 
     def test_wrong_kty_rejected(self, kp512):
         data = keymod.private_key_to_dict(kp512.private)
@@ -41,7 +50,7 @@ class TestPrivateKeyDict:
 
     def test_missing_field_rejected(self, kp512):
         data = keymod.private_key_to_dict(kp512.private)
-        del data["q"]
+        del data["primes"]
         with pytest.raises(InvalidKeyError):
             keymod.private_key_from_dict(data)
 

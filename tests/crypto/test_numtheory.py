@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.numtheory import (
+    crt_coefficients,
     crt_combine,
     egcd,
     generate_prime,
@@ -109,10 +110,23 @@ class TestCrt:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=10**12))
     def test_recombination(self, m):
-        p, q = 1_000_003, 999_983  # distinct primes, p > q
+        p, q = 1_000_003, 999_983  # distinct primes
         m = m % (p * q)
-        q_inv = modinv(q, p)
-        assert crt_combine(m % p, m % q, p, q, q_inv) == m
+        (coefficient,) = crt_coefficients((q, p))
+        assert coefficient == modinv(q, p)  # RFC 8017's qInv
+        assert crt_combine((m % q, m % p), (q, p), (coefficient,)) == m
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**20))
+    def test_recombination_three_moduli(self, m):
+        moduli = (1_000_003, 999_983, 1_000_033)
+        m = m % math.prod(moduli)
+        residues = tuple(m % r for r in moduli)
+        assert crt_combine(residues, moduli, crt_coefficients(moduli)) == m
+
+    def test_shared_factor_rejected(self):
+        with pytest.raises(ValueError):
+            crt_coefficients((15, 7, 21))
 
 
 class TestLcm:
@@ -120,3 +134,7 @@ class TestLcm:
            st.integers(min_value=1, max_value=10**6))
     def test_matches_math(self, a, b):
         assert lcm(a, b) == math.lcm(a, b)
+
+    @given(st.lists(st.integers(min_value=1, max_value=10**6), max_size=4))
+    def test_many_values(self, values):
+        assert lcm(*values) == math.lcm(*values)

@@ -9,16 +9,25 @@ from hypothesis import strategies as st
 
 from repro.crypto import pkcs1
 from repro.crypto.drbg import HmacDrbg
+from repro.crypto.rsa import PrivateKey
 from repro.errors import DecryptionError, InvalidSignatureError
 
 
-def _oracle_keys(kp):
-    priv = crsa.RSAPrivateNumbers(
-        p=kp.private.p, q=kp.private.q, d=kp.private.d,
-        dmp1=kp.private.dp, dmq1=kp.private.dq, iqmp=kp.private.q_inv,
-        public_numbers=crsa.RSAPublicNumbers(kp.public.e, kp.public.n),
-    ).private_key()
-    return priv, priv.public_key()
+def _oracle_public(kp):
+    """Our key as the oracle sees it: the public numbers only, because a
+    1024-bit key of ours has three primes."""
+    return crsa.RSAPublicNumbers(kp.public.e, kp.public.n).public_key()
+
+
+@pytest.fixture(scope="module")
+def oracle_pair():
+    """A 2-prime key generated by the oracle, and the same key imported
+    into :class:`PrivateKey`, where it runs the one multi-prime CRT path."""
+    opriv = crsa.generate_private_key(public_exponent=65537, key_size=1024)
+    numbers = opriv.private_numbers()
+    ours = PrivateKey(n=numbers.public_numbers.n, e=numbers.public_numbers.e,
+                      d=numbers.d, primes=(numbers.p, numbers.q))
+    return opriv, ours
 
 
 class TestMgf1:
@@ -41,14 +50,16 @@ class TestEncryptV15:
         ct = pkcs1.encrypt_v15(kp.public, message, drbg=HmacDrbg(b"r"))
         assert pkcs1.decrypt_v15(kp.private, ct) == message
 
-    def test_interop_decrypt_oracle_ciphertext(self, kp1024):
-        _, opub = _oracle_keys(kp1024)
-        ct = opub.encrypt(b"oracle encrypted", cpad.PKCS1v15())
+    def test_interop_decrypt_oracle_ciphertext(self, kp1024, oracle_pair):
+        ct = _oracle_public(kp1024).encrypt(b"oracle encrypted", cpad.PKCS1v15())
         assert pkcs1.decrypt_v15(kp1024.private, ct) == b"oracle encrypted"
+        opriv, ours = oracle_pair
+        ct = opriv.public_key().encrypt(b"to itself", cpad.PKCS1v15())
+        assert pkcs1.decrypt_v15(ours, ct) == b"to itself"
 
-    def test_oracle_decrypts_ours(self, kp1024):
-        opriv, _ = _oracle_keys(kp1024)
-        ct = pkcs1.encrypt_v15(kp1024.public, b"ours encrypted")
+    def test_oracle_decrypts_ours(self, oracle_pair):
+        opriv, ours = oracle_pair
+        ct = pkcs1.encrypt_v15(ours.public_key(), b"ours encrypted")
         assert opriv.decrypt(ct, cpad.PKCS1v15()) == b"ours encrypted"
 
     def test_too_long_rejected(self, kp512):
@@ -85,13 +96,15 @@ class TestEncryptOaep:
         with pytest.raises(DecryptionError):
             pkcs1.decrypt_oaep(kp1024.private, ct, label=b"context-B")
 
-    def test_interop_with_oracle(self, kp1024):
-        opriv, opub = _oracle_keys(kp1024)
+    def test_interop_with_oracle(self, kp1024, oracle_pair):
+        opriv, ours = oracle_pair
         oaep = cpad.OAEP(mgf=cpad.MGF1(chashes.SHA256()),
                          algorithm=chashes.SHA256(), label=None)
-        ct = opub.encrypt(b"from oracle", oaep)
+        ct = _oracle_public(kp1024).encrypt(b"from oracle", oaep)
         assert pkcs1.decrypt_oaep(kp1024.private, ct) == b"from oracle"
-        ct2 = pkcs1.encrypt_oaep(kp1024.public, b"from ours")
+        ct = opriv.public_key().encrypt(b"oracle to itself", oaep)
+        assert pkcs1.decrypt_oaep(ours, ct) == b"oracle to itself"
+        ct2 = pkcs1.encrypt_oaep(ours.public_key(), b"from ours")
         assert opriv.decrypt(ct2, oaep) == b"from ours"
 
     def test_too_long_rejected(self, kp1024):
@@ -119,14 +132,16 @@ class TestSignV15:
         assert pkcs1.sign_v15(kp512.private, b"m") == pkcs1.sign_v15(kp512.private, b"m")
 
     def test_oracle_verifies_ours(self, kp1024):
-        _, opub = _oracle_keys(kp1024)
         sig = pkcs1.sign_v15(kp1024.private, b"interop")
-        opub.verify(sig, b"interop", cpad.PKCS1v15(), chashes.SHA256())
+        _oracle_public(kp1024).verify(sig, b"interop", cpad.PKCS1v15(),
+                                      chashes.SHA256())
 
-    def test_we_verify_oracle(self, kp1024):
-        opriv, _ = _oracle_keys(kp1024)
+    def test_we_verify_oracle(self, oracle_pair):
+        opriv, ours = oracle_pair
         sig = opriv.sign(b"interop", cpad.PKCS1v15(), chashes.SHA256())
-        pkcs1.verify_v15(kp1024.public, b"interop", sig)
+        pkcs1.verify_v15(ours.public_key(), b"interop", sig)
+        # v1.5 signing is deterministic: the imported key signs alike
+        assert pkcs1.sign_v15(ours, b"interop") == sig
 
     def test_modified_message_rejected(self, kp512):
         sig = pkcs1.sign_v15(kp512.private, b"message")
@@ -161,19 +176,21 @@ class TestSignPss:
         pkcs1.verify_pss(kp1024.public, b"m", a)
         pkcs1.verify_pss(kp1024.public, b"m", b)
 
-    def test_oracle_verifies_ours(self, kp1024):
-        _, opub = _oracle_keys(kp1024)
+    def test_oracle_verifies_ours(self, kp1024, oracle_pair):
+        pss = cpad.PSS(mgf=cpad.MGF1(chashes.SHA256()),
+                       salt_length=cpad.PSS.AUTO)
         sig = pkcs1.sign_pss(kp1024.private, b"interop")
-        opub.verify(sig, b"interop",
-                    cpad.PSS(mgf=cpad.MGF1(chashes.SHA256()),
-                             salt_length=cpad.PSS.AUTO), chashes.SHA256())
+        _oracle_public(kp1024).verify(sig, b"interop", pss, chashes.SHA256())
+        opriv, ours = oracle_pair
+        sig = pkcs1.sign_pss(ours, b"interop")
+        opriv.public_key().verify(sig, b"interop", pss, chashes.SHA256())
 
-    def test_we_verify_oracle(self, kp1024):
-        opriv, _ = _oracle_keys(kp1024)
+    def test_we_verify_oracle(self, oracle_pair):
+        opriv, ours = oracle_pair
         sig = opriv.sign(b"interop",
                          cpad.PSS(mgf=cpad.MGF1(chashes.SHA256()),
                                   salt_length=32), chashes.SHA256())
-        pkcs1.verify_pss(kp1024.public, b"interop", sig)
+        pkcs1.verify_pss(ours.public_key(), b"interop", sig)
 
     def test_zero_salt_allowed(self, kp512):
         sig = pkcs1.sign_pss(kp512.private, b"m", salt_len=0)

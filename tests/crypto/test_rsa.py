@@ -1,14 +1,18 @@
 """RSA keys and the raw trapdoor permutation."""
 
+from math import lcm, prod
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.drbg import HmacDrbg
 from repro.crypto.rsa import (
     PUBLIC_EXPONENT,
-    KeyPair,
     PrivateKey,
     PublicKey,
     generate_keypair,
+    prime_sizes,
 )
 from repro.errors import InvalidKeyError
 from tests.conftest import cached_keypair
@@ -39,19 +43,54 @@ class TestKeyGeneration:
 
     def test_key_structure(self, kp512):
         priv = kp512.private
-        assert priv.p * priv.q == priv.n
-        assert priv.p > priv.q
+        assert len(priv.primes) == 2
+        assert prod(priv.primes) == priv.n
         assert priv.e == PUBLIC_EXPONENT
         # d is a working inverse of e modulo lambda(n)
-        from math import gcd
-        lam = (priv.p - 1) * (priv.q - 1) // gcd(priv.p - 1, priv.q - 1)
+        lam = lcm(*(r - 1 for r in priv.primes))
         assert (priv.e * priv.d) % lam == 1
 
-    def test_crt_parameters_derived(self, kp512):
+    def test_crt_parameters_derived(self, kp512, kp1024):
+        for priv in (kp512.private, kp1024.private):
+            primes = priv.primes
+            assert priv.exponents == tuple(priv.d % (r - 1) for r in primes)
+            assert len(priv.coefficients) == len(primes) - 1
+            for i, t in enumerate(priv.coefficients):
+                assert prod(primes[:i + 1]) * t % primes[i + 1] == 1
+
+    def test_three_primes_from_1024_bits(self):
+        seed = b"three-primes"
+        kp = generate_keypair(1024, HmacDrbg(seed))
+        priv = kp.private
+        assert len(priv.primes) == 3
+        assert len(set(priv.primes)) == 3
+        assert prod(priv.primes) == priv.n
+        assert priv.n.bit_length() == 1024
+        assert sorted(r.bit_length() for r in priv.primes) == [341, 341, 342]
+        lam = lcm(*(r - 1 for r in priv.primes))
+        assert (priv.e * priv.d) % lam == 1
+        assert generate_keypair(1024, HmacDrbg(seed)) == kp
+
+    @pytest.mark.parametrize("bits,sizes", [
+        (512, (256, 256)), (768, (384, 384)), (1024, (341, 341, 342)),
+        (2048, (682, 682, 684)), (4096, (1365, 1365, 1366)),
+    ])
+    def test_prime_sizes(self, bits, sizes):
+        assert prime_sizes(bits) == sizes
+        assert sum(sizes) == bits
+
+    def test_primes_must_multiply_to_modulus(self, kp512):
         priv = kp512.private
-        assert priv.dp == priv.d % (priv.p - 1)
-        assert priv.dq == priv.d % (priv.q - 1)
-        assert (priv.q * priv.q_inv) % priv.p == 1
+        with pytest.raises(InvalidKeyError):
+            PrivateKey(n=priv.n + 2, e=priv.e, d=priv.d, primes=priv.primes)
+        with pytest.raises(InvalidKeyError):
+            PrivateKey(n=priv.n, e=priv.e, d=priv.d, primes=(priv.n,))
+
+    def test_repeated_prime_rejected(self):
+        r = 1_000_003
+        with pytest.raises(InvalidKeyError):
+            PrivateKey(n=r * r * 999_983, e=PUBLIC_EXPONENT, d=1,
+                       primes=(r, r, 999_983))
 
 
 class TestRawOperations:
@@ -69,6 +108,16 @@ class TestRawOperations:
         priv = kp512.private
         c = 0xDEADBEEF
         assert priv.decrypt_int(c) == pow(c, priv.d, priv.n)
+
+    @pytest.mark.parametrize("bits,count", [(512, 2), (1024, 3), (2048, 3)])
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_crt_matches_private_exponent(self, bits, count, data):
+        priv = cached_keypair(bits, "a").private
+        assert len(priv.primes) == count
+        c = data.draw(st.integers(min_value=0, max_value=priv.n - 1))
+        assert priv.decrypt_int(c) == pow(c, priv.d, priv.n)
+        assert priv.sign_int(c) == priv.decrypt_int(c)
 
     def test_out_of_range_rejected(self, kp512):
         with pytest.raises(ValueError):

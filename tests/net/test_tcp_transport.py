@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.errors import NetworkError
 from repro.net import framing
 from repro.net.base import Frame, Transport
@@ -457,6 +458,43 @@ class TestDrainOnUnregister(UnregisterCases):
         tcp.request("peer:a", "svc", b"warm the connection")
         tcp.unregister("svc")
         assert wait_for(lambda: "peer:a" in closed)
+
+    def test_connection_missed_by_teardown_is_closed_on_its_next_frame(self):
+        """A connection accepted just as its endpoint unregisters can
+        outlive the teardown.  White-box: drop the endpoint's state and
+        close only its listening socket, which is what such a teardown
+        leaves behind.  The next frame must not reach the old handler,
+        and the closed connection must make the send after it fail."""
+        sender = TcpTransport(request_timeout=10.0)
+        receiver = TcpTransport(request_timeout=10.0)
+        got: list[bytes] = []
+        receiver.register("svc", lambda frame: got.append(frame.payload))
+        sender.add_route("svc", *receiver.location("svc"))
+        registry = obs.get_registry()
+        state = None
+        try:
+            assert sender.send("tx", "svc", b"hello") is True
+            assert wait_for(lambda: got == [b"hello"])
+            with receiver._lock:
+                state = receiver._endpoints.pop("svc")
+                del receiver._directory["svc"]
+
+            async def close_listener():
+                state.server.close()
+
+            receiver._run(close_listener(), 5.0)
+            dropped = registry.count("net.tcp.frames_dropped")
+            # written before the receiver acts on it: a datagram's success
+            assert sender.send("tx", "svc", b"into the void") is True
+            assert wait_for(lambda: ("tx", "svc") not in sender._conns)
+            assert registry.count("net.tcp.frames_dropped") == dropped + 1
+            assert sender.send("tx", "svc", b"refused") is False
+            assert got == [b"hello"]
+        finally:
+            if state is not None:
+                receiver._run(receiver._teardown_endpoint("svc", state), 5.0)
+            sender.close()
+            receiver.close()
 
 
 class TestSimNetworkContract(ContractCases, LifecycleHooksCases,
